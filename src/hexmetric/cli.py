@@ -9,8 +9,9 @@ File formats:
 * coordinate file (JSON): {edge label: number, ...}; used both for
   per-edge coordinates (z) and for edge lengths.
 
-Exit codes: 0 success, 2 input/validation error, 3 infeasible,
-4 non-convergence, 5 verification failure.
+Exit codes: 0 success, 2 input/validation error (including inputs
+beyond the numeric range), 3 infeasible, 4 non-convergence or LP
+failure, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import coords, polytope, realize, solver, surface
+from . import coords, hexgeom, polytope, realize, solver, surface
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -258,9 +259,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, surface.InvalidComplexError, coords.CoordinateError, ValueError) as exc:
+    except (
+        InputError,
+        surface.InvalidComplexError,
+        coords.CoordinateError,
+        hexgeom.DomainError,
+        ValueError,
+        ArithmeticError,  # overflow or division by zero: input beyond the numeric range
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except polytope.LPError as exc:
+        print(f"error: linear program failed: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

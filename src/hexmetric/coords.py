@@ -24,6 +24,19 @@ def _as_arc_array(cx: HexComplex, values: np.ndarray | list[float]) -> np.ndarra
     return arr
 
 
+def edge_maps(cx: HexComplex) -> tuple[np.ndarray, np.ndarray]:
+    """Per arc, the edge it faces and the sign of its side: +1 for side 0,
+    -1 for side 1.  On the slice with invariant z the facing pair of edge
+    e is t = z[e]/2 + sign * s[e] for one free scalar s[e] per edge."""
+    sign = np.zeros(cx.num_arcs)
+    edge_of = np.zeros(cx.num_arcs, dtype=int)
+    for w in range(cx.num_arcs):
+        e, side = cx.arc_to_edge(w)
+        edge_of[w] = e
+        sign[w] = 1.0 if side == 0 else -1.0
+    return edge_of, sign
+
+
 def t_of(cx: HexComplex, x: np.ndarray) -> np.ndarray:
     """t(w) = (x(w') + x(w'') - x(w)) / 2 within each 2-cell."""
     x = _as_arc_array(cx, x)

@@ -7,9 +7,10 @@ min { z . y : y in D, sum y = 1 } > 0 over the cone
     D = { y >= 0 : y_i + y_j >= y_k for each 2-cell's edge triple },
 
 which is the test implemented here, together with the construction of a
-max-margin interior starting point for the energy maximizer.  The LP
-solver is a small dense two-phase simplex with Bland's rule; problem
-sizes are a few dozen variables.
+max-margin interior starting point for the energy maximizer.  Both come
+from one LP, the max-margin LP over the slice, whose dual is the cone
+LP above; it is solved by HiGHS (scipy.optimize.linprog) on a sparse
+matrix with three nonzeros per row.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from . import coords
 from .surface import EdgeCycle, HexComplex
 
 TAU_FEAS = 1e-9
-
-_PIVOT_TOL = 1e-11
 
 
 class LPError(RuntimeError):
@@ -39,82 +38,22 @@ class InfeasibleCoordinateError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# dense simplex, standard form  min c.x  s.t.  A x = b, x >= 0
+# linear programs, solved by HiGHS
 # ---------------------------------------------------------------------------
 
-
-def _bland_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int]):
-    """Simplex iterations from a given feasible basis, Bland's rule
-    throughout (termination guaranteed, adequate at this scale).
-    Returns (status, basis, x) with status 'optimal' or 'unbounded'."""
-    m, n = a.shape
-    for _ in range(200 * (n + m + 10)):
-        bmat = a[:, basis]
-        xb = np.linalg.solve(bmat, b)
-        y = np.linalg.solve(bmat.T, c[basis])
-        reduced = c - a.T @ y
-        entering = -1
-        for j in range(n):
-            if j not in basis and reduced[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
-            x = np.zeros(n)
-            x[basis] = xb
-            return "optimal", basis, x
-        d = np.linalg.solve(bmat, a[:, entering])
-        ratios = [
-            (xb[i] / d[i], basis[i], i) for i in range(m) if d[i] > _PIVOT_TOL
-        ]
-        if not ratios:
-            return "unbounded", basis, None
-        min_ratio = min(r for r, _, _ in ratios)
-        # Bland tie-break: among minimal ratios, leave the basic
-        # variable with the smallest index
-        leave_row = min(
-            (bi, i) for r, bi, i in ratios if r <= min_ratio + _PIVOT_TOL
-        )[1]
-        basis[leave_row] = entering
-    raise LPError("simplex iteration limit exceeded")
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def _standard_form_solve(c: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Two-phase simplex.  Returns (status, value, x)."""
-    m, n = a.shape
-    a = a.copy()
-    b = b.copy()
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-    # phase 1
-    a1 = np.hstack([a, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    status, basis, x1 = _bland_simplex(c1, a1, b, basis)
-    if status != "optimal" or float(c1 @ x1) > 1e-8:
-        return "infeasible", None, None
-    # drive artificials out of the basis where possible
-    for i, bi in enumerate(basis):
-        if bi >= n:
-            bmat = a1[:, basis]
-            for j in range(n):
-                if j in basis:
-                    continue
-                d = np.linalg.solve(bmat, a1[:, j])
-                if abs(d[i]) > 1e-9:
-                    basis[i] = j
-                    break
-    if any(bi >= n for bi in basis):
-        # redundant rows: keep the artificial at value 0 with cost 0
-        a2 = a1
-        c2 = np.concatenate([c, np.zeros(m)])
-    else:
-        a2 = a
-        c2 = c
-    status, basis, x = _bland_simplex(c2, a2, b, basis)
-    if status != "optimal":
-        return status, None, None
-    return "optimal", float(c2 @ x), x[:n]
+def _linprog(c, **kwargs):
+    """scipy's HiGHS LP solver.  Imported on first use: loading
+    scipy.optimize takes about a quarter second, which callers that
+    never solve an LP should not pay."""
+    from scipy.optimize import linprog
+
+    res = linprog(c, method="highs", **kwargs)
+    if res.status not in _STATUS:
+        raise LPError(f"HiGHS failed: {res.message}")
+    return _STATUS[res.status], res
 
 
 def lp_solve(
@@ -127,41 +66,12 @@ def lp_solve(
     """min c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
     Returns (status, value, x); status in 'optimal' / 'unbounded' /
-    'infeasible'.  Nonnegative variables only; callers split free
-    variables into differences.
+    'infeasible'.
     """
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    rows = []
-    rhs = []
-    n_slack = 0
-    if a_ub is not None:
-        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        n_slack = a_ub.shape[0]
-    if n + n_slack > 600:
-        raise LPError("problem too large for the dense simplex")
-    if a_ub is not None:
-        for i in range(a_ub.shape[0]):
-            slack = np.zeros(n_slack)
-            slack[i] = 1.0
-            rows.append(np.concatenate([a_ub[i], slack]))
-            rhs.append(b_ub[i])
-    if a_eq is not None:
-        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        for i in range(a_eq.shape[0]):
-            rows.append(np.concatenate([a_eq[i], np.zeros(n_slack)]))
-            rhs.append(b_eq[i])
-    if not rows:
-        raise LPError("LP needs at least one constraint")
-    a = np.vstack(rows)
-    b = np.asarray(rhs, dtype=float)
-    c_full = np.concatenate([c, np.zeros(n_slack)])
-    status, value, x = _standard_form_solve(c_full, a, b)
+    status, res = _linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq)
     if status != "optimal":
         return status, None, None
-    return status, value, x[:n]
+    return status, float(res.fun), res.x
 
 
 # ---------------------------------------------------------------------------
@@ -213,62 +123,65 @@ def cone_inequalities(cx: HexComplex) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _cone_lp_min(cx: HexComplex, z: np.ndarray):
-    """min z.y over D intersected with the simplex sum(y) = 1."""
-    m = cx.num_edges
-    tri = cone_inequalities(cx)
-    status, value, y = lp_solve(
-        c=np.asarray(z, dtype=float),
-        a_ub=-tri,
-        b_ub=np.zeros(tri.shape[0]),
-        a_eq=np.ones((1, m)),
-        b_eq=np.array([1.0]),
-    )
-    if status != "optimal":
-        raise LPError(f"cone LP unexpectedly {status}")
-    return value, y
-
-
 def _margin_lp(cx: HexComplex, z: np.ndarray):
-    """Max-margin point of the affine slice t_a + t_b = z(e) over the
-    facing pairs: returns (margin, t-array)."""
+    """Max-margin point of the slice with invariant z.
+
+    Maximizes mu over one free s per edge subject to, for every arc w
+    with hexagon-mates u, v,  x(w) = t(u) + t(v) >= mu,  where
+    t = z/2 + sign * s (coords.edge_maps).  Returns (mu, t, y).  mu is
+    also the minimum of z.y over the cone D cut by sum(y) = 1: the cone
+    LP is this LP's dual, and y is its minimizer, read off the row
+    multipliers lam: y(e) = lam(u) + lam(v) for the mates u, v of a
+    facing arc of e.  Dual feasibility makes the two facing arcs agree;
+    y takes their mean.  Then y_a + y_b - y_c = 2 lam >= 0 over each
+    hexagon's edge triple, sum(y) = sum(lam) = 1 and z.y = mu.
+    """
+    from scipy import sparse
+
     m = cx.num_edges
-    z = np.asarray(z, dtype=float)
-    sign = np.zeros(cx.num_arcs)
-    edge_of = np.zeros(cx.num_arcs, dtype=int)
-    for w in range(cx.num_arcs):
-        e, side = cx.arc_to_edge(w)
-        edge_of[w] = e
-        sign[w] = 1.0 if side == 0 else -1.0
-    # variables: s+ (m), s- (m), mu+, mu-
-    nv = 2 * m + 2
-    rows = []
-    rhs = []
-    for h in range(cx.n):
-        arcs = cx.arcs_of_hexagon(h)
-        for i in range(3):
-            wa, wb = arcs[i], arcs[(i + 1) % 3]
-            row = np.zeros(nv)
-            for w in (wa, wb):
-                e = edge_of[w]
-                row[e] -= sign[w]
-                row[m + e] += sign[w]
-            row[2 * m] += 1.0
-            row[2 * m + 1] -= 1.0
-            rows.append(row)
-            rhs.append(0.5 * (z[edge_of[wa]] + z[edge_of[wb]]))
-    c = np.zeros(nv)
-    c[2 * m] = -1.0
-    c[2 * m + 1] = 1.0
-    status, value, x = lp_solve(c, a_ub=np.vstack(rows), b_ub=np.array(rhs))
+    edge_of, sign = coords.edge_maps(cx)
+    hex_arcs = np.array([cx.arcs_of_hexagon(h) for h in range(cx.n)])
+    w = hex_arcs.ravel()
+    u = hex_arcs[:, [1, 2, 0]].ravel()
+    v = hex_arcs[:, [2, 0, 1]].ravel()
+    rows = np.repeat(np.arange(w.size), 3)
+    cols = np.stack([edge_of[u], edge_of[v], np.full(w.size, m)], axis=1).ravel()
+    vals = np.stack([-sign[u], -sign[v], np.ones(w.size)], axis=1).ravel()
+    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(w.size, m + 1))
+    b_ub = 0.5 * (z[edge_of[u]] + z[edge_of[v]])
+    c = np.zeros(m + 1)
+    c[m] = -1.0
+    status, res = _linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(None, None))
     if status == "unbounded":
         raise LPError("margin LP unbounded; complex has no boundary constraint")
     if status != "optimal":
         raise LPError(f"margin LP unexpectedly {status}")
-    s = x[:m] - x[m : 2 * m]
-    mu = -value
+    s = res.x[:m]
     t = 0.5 * z[edge_of] + sign * s[edge_of]
-    return mu, t
+    # multipliers of a maximization are >= 0 up to HiGHS's dual tolerance
+    lam = np.zeros(cx.num_arcs)
+    lam[w] = np.maximum(-res.ineqlin.marginals, 0.0)
+    y = 0.5 * np.bincount(edge_of[w], weights=lam[u] + lam[v], minlength=m)
+    return float(res.x[m]), t, y
+
+
+def _report(cx: HexComplex, z: np.ndarray, tol: float, mu: float, t, y) -> PolytopeReport:
+    boundary_values = coords.boundary_z_sums(cx, z)
+    if mu > tol:
+        return PolytopeReport(
+            feasible=True,
+            status="feasible",
+            lp_min=mu,
+            boundary_values=boundary_values,
+            witness=coords.x_of(cx, t),
+        )
+    return PolytopeReport(
+        feasible=False,
+        status="boundary" if mu >= -tol else "infeasible",
+        lp_min=mu,
+        boundary_values=boundary_values,
+        certificate=y,
+    )
 
 
 def check_feasibility(cx: HexComplex, z, tol: float = TAU_FEAS) -> PolytopeReport:
@@ -278,28 +191,10 @@ def check_feasibility(cx: HexComplex, z, tol: float = TAU_FEAS) -> PolytopeRepor
     [-tol, tol] are reported as 'boundary' and treated as infeasible.
     Infeasible reports carry the minimizing cone direction as a
     certificate; feasible reports carry an interior length structure.
+    One margin LP gives both (see _margin_lp).
     """
     z = np.asarray(z, dtype=float)
-    value, y = _cone_lp_min(cx, z)
-    boundary_values = coords.boundary_z_sums(cx, z)
-    if value > tol:
-        _, t = _margin_lp(cx, z)
-        witness = coords.x_of(cx, t)
-        return PolytopeReport(
-            feasible=True,
-            status="feasible",
-            lp_min=value,
-            boundary_values=boundary_values,
-            witness=witness,
-        )
-    status = "boundary" if value >= -tol else "infeasible"
-    return PolytopeReport(
-        feasible=False,
-        status=status,
-        lp_min=value,
-        boundary_values=boundary_values,
-        certificate=y,
-    )
+    return _report(cx, z, tol, *_margin_lp(cx, z))
 
 
 def check_cycles(cx: HexComplex, z, cycles: list[EdgeCycle]) -> list[tuple[EdgeCycle, float]]:
@@ -320,7 +215,7 @@ def interior_point(cx: HexComplex, z, tol: float = TAU_FEAS) -> np.ndarray:
     InfeasibleCoordinateError (with the feasibility report) when no
     interior point exists."""
     z = np.asarray(z, dtype=float)
-    mu, t = _margin_lp(cx, z)
+    mu, t, y = _margin_lp(cx, z)
     if mu <= tol:
-        raise InfeasibleCoordinateError(check_feasibility(cx, z, tol))
+        raise InfeasibleCoordinateError(_report(cx, z, tol, mu, t, y))
     return t

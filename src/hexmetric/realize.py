@@ -19,8 +19,6 @@ from . import hexgeom
 from .solver import HyperbolicMetric
 from .surface import HexComplex
 
-_METRIC = np.diag([-1.0, 1.0, 1.0])
-
 
 def minkowski_dot(p: np.ndarray, q: np.ndarray) -> float:
     return float(-p[0] * q[0] + p[1] * q[1] + p[2] * q[2])
@@ -31,7 +29,10 @@ def normalize_point(p: np.ndarray) -> np.ndarray:
 
 
 def distance(p: np.ndarray, q: np.ndarray) -> float:
-    return hexgeom.arccosh(max(-minkowski_dot(p, q), 1.0))
+    """Chord form 2 asinh(|p - q| / 2): unlike arccosh(-<p,q>), it does
+    not round distances below ~1e-8 to zero."""
+    d = p - q
+    return 2.0 * math.asinh(0.5 * math.sqrt(max(minkowski_dot(d, d), 0.0)))
 
 
 def _translate(p: np.ndarray, u: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
@@ -44,7 +45,11 @@ def _translate(p: np.ndarray, u: np.ndarray, d: float) -> tuple[np.ndarray, np.n
 def _left_normal(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The unit spacelike vector completing (p, u) to an oriented
     Lorentz frame; rotating u to it is a quarter turn at p."""
-    v = _METRIC @ np.cross(p, u)
+    # diag(-1, 1, 1) applied to the cross product p x u, written out:
+    # np.cross costs more than the rest of the walk
+    v = np.array(
+        [p[2] * u[1] - p[1] * u[2], p[2] * u[0] - p[0] * u[2], p[0] * u[1] - p[1] * u[0]]
+    )
     return v / math.sqrt(minkowski_dot(v, v))
 
 
@@ -53,7 +58,7 @@ class HexRealization:
     vertices: list[np.ndarray]  # 6 points, cyclic
     side_lengths: list[float]  # measured, alternating x1,y3,x2,y1,x3,y2
     angle_residual: float  # max |<t_in, t_out>| over the corners
-    closure_residual: float  # distance end-to-start after six sides
+    closure_residual: float  # distance between the two ends of the walk
 
     def vertex_dump(self) -> list[list[float]]:
         return [[float(c) for c in v] for v in self.vertices]
@@ -68,27 +73,34 @@ def _direction(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def realize_hexagon(x: tuple[float, float, float]) -> HexRealization:
     """Construct the right-angled hexagon with x-side lengths x.
 
-    Walks sides in the cyclic order x1, y3, x2, y1, x3, y2 (so that y_i
-    is opposite x_i), starting at (1,0,0), turning a quarter turn at
-    every corner.  Side lengths and corner angles are then measured
-    back from the vertices alone; the sixth side's closure error is the
+    The sides run in the cyclic order x1, y3, x2, y1, x3, y2 (so that
+    y_i is opposite x_i), turning a quarter turn at every corner.  The
+    walk starts at (1,0,0) half-way along the longest side and ends back
+    there: coordinates grow like e^distance from the start, and so does
+    their rounding error.  Vertices are reported from the start of side
+    x1.  Side lengths and corner angles are then measured back from the
+    vertices alone; the distance between the walk's two ends is the
     construction residual.
     """
     y = hexgeom.cosine_law_y(x)
     sides = [x[0], y[2], x[1], y[0], x[2], y[1]]
+    k = max(range(6), key=sides.__getitem__)
+    steps = [0.5 * sides[k]] + [sides[(k + j) % 6] for j in range(1, 6)] + [0.5 * sides[k]]
     p = np.array([1.0, 0.0, 0.0])
     u = np.array([0.0, 1.0, 0.0])
     walk = [p]
-    for d in sides:
+    for i, d in enumerate(steps):
         p, u_in = _translate(p, u, d)
         # re-orthonormalize the frame to stop drift from accumulating
         p = normalize_point(p)
-        u_in = u_in + minkowski_dot(p, u_in) * p
-        u_in = u_in / math.sqrt(minkowski_dot(u_in, u_in))
         walk.append(p)
-        u = _left_normal(p, u_in)
-    closure = distance(walk[6], walk[0])
-    vertices = walk[:6]
+        if i < 6:  # a corner; the last step ends mid-side
+            u_in = u_in + minkowski_dot(p, u_in) * p
+            u_in = u_in / math.sqrt(minkowski_dot(u_in, u_in))
+            u = _left_normal(p, u_in)
+    closure = distance(walk[7], walk[0])
+    # walk[1 + j] is the vertex that starts side k + 1 + j
+    vertices = [walk[1 + (i - k - 1) % 6] for i in range(6)]
     measured = [distance(vertices[i], vertices[(i + 1) % 6]) for i in range(6)]
     angle_res = 0.0
     for i in range(6):

@@ -68,14 +68,7 @@ class SolveError(RuntimeError):
         self.report = report
 
 
-def _edge_maps(cx: HexComplex) -> tuple[np.ndarray, np.ndarray]:
-    sign = np.zeros(cx.num_arcs)
-    edge_of = np.zeros(cx.num_arcs, dtype=int)
-    for w in range(cx.num_arcs):
-        e, side = cx.arc_to_edge(w)
-        edge_of[w] = e
-        sign[w] = 1.0 if side == 0 else -1.0
-    return edge_of, sign
+_edge_maps = coords.edge_maps  # kept under its old name for existing callers
 
 
 def _hex_t(cx: HexComplex, t: np.ndarray, h: int) -> tuple[float, float, float]:
@@ -146,7 +139,7 @@ def maximize(
     the max-margin interior point is used."""
     cfg = cfg or SolveConfig()
     z = np.asarray(z, dtype=float)
-    edge_of, sign = _edge_maps(cx)
+    edge_of, sign = coords.edge_maps(cx)
     if start_t is None:
         t = polytope.interior_point(cx, z)
     else:
@@ -272,7 +265,7 @@ def perturbed_interior_start(
     z = np.asarray(z, dtype=float)
     t0 = polytope.interior_point(cx, z)
     mu = domain_margin(cx, t0)
-    edge_of, sign = _edge_maps(cx)
+    edge_of, sign = coords.edge_maps(cx)
     s0 = np.array([0.5 * (t0[cx.facing_arcs(e)[0]] - t0[cx.facing_arcs(e)[1]]) for e in range(cx.num_edges)])
     scale = spread * mu
     while True:

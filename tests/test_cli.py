@@ -192,3 +192,29 @@ def test_polytope_truncation(pants_file, capsys):
 def test_integer_edge_keys_accepted(pants_file, tmp_path, capsys):
     z = write_coords(tmp_path, "z.json", {"0": 1, "1": 1, "2": 1})
     assert run(["feasible", pants_file, "--z", z]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("forward", "--lengths", 800.0),  # OverflowError in the cosine law
+        ("solve", "--z", 400.0),  # hexgeom.DomainError in the energy
+        ("solve", "--z", 50.0),  # ZeroDivisionError in the Hessian
+    ],
+)
+def test_numeric_range_errors_exit_input(pants_file, tmp_path, capsys, command, key, value):
+    values = write_coords(tmp_path, "v.json", {"e0": value, "e1": value, "e2": value})
+    assert run([command, pants_file, key, values]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lp_failure_exits_no_convergence(pants_file, tmp_path, capsys, monkeypatch):
+    from hexmetric import polytope
+
+    def failing_lp(*args, **kwargs):
+        raise polytope.LPError("HiGHS failed: simulated")
+
+    monkeypatch.setattr(polytope, "_margin_lp", failing_lp)
+    z = write_coords(tmp_path, "z.json", {"e0": 1, "e1": 1, "e2": 1})
+    assert run(["feasible", pants_file, "--z", z]) == cli.EXIT_NO_CONVERGENCE
+    assert "linear program failed" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hexmetric import coords, polytope
+from hexmetric import coords, polytope, solver
 from hexmetric.polytope import (
     InfeasibleCoordinateError,
     check_cycles,
@@ -11,11 +11,12 @@ from hexmetric.polytope import (
     interior_point,
     lp_solve,
 )
+from hexmetric.surface import HexComplex, InvalidComplexError
 
 RNG = np.random.default_rng(20240813)
 
 
-# --- the dense simplex on known problems -----------------------------------
+# --- lp_solve on known problems --------------------------------------------
 
 
 def test_lp_basic_optimum():
@@ -193,3 +194,38 @@ def test_report_json(pants):
     assert d["feasible"] is True
     assert set(d["boundary_values"]) == {"b0", "b1", "b2"}
     assert len(d["witness_x_arcs"]) == 6
+
+
+def seeded_complex(n: int, seed: int) -> HexComplex:
+    """Connected complex of n hexagons: the 3n seams paired uniformly at
+    random with random orientation, redrawn while disconnected."""
+    rng = np.random.default_rng(seed)
+    slots = [(h, q) for h in range(n) for q in (1, 3, 5)]
+    while True:
+        pairs = rng.permutation(len(slots)).reshape(-1, 2)
+        flips = rng.integers(0, 2, len(pairs))
+        gluings = [(slots[a], slots[b], bool(f)) for (a, b), f in zip(pairs, flips)]
+        try:
+            return HexComplex(n=n, gluings=gluings)
+        except InvalidComplexError:
+            continue
+
+
+def test_large_complex_witness_and_certificate():
+    cx = seeded_complex(256, 20240901)
+    rng = np.random.default_rng(7)
+    z, _, _ = solver.forward_map(cx, rng.uniform(0.3, 3.0, cx.num_edges))
+    rep = check_feasibility(cx, z)
+    assert rep.feasible
+    assert np.max(np.abs(coords.e_invariant(cx, rep.witness) - z)) < 1e-10
+    # push one boundary cycle's z-sum below zero through one of its edges
+    cycle = cx.boundary_components()[0]
+    z_bad = z.copy()
+    z_bad[cycle.edges[0]] -= coords.boundary_z_sums(cx, z)[0] + 1.0
+    assert coords.boundary_z_sums(cx, z_bad)[0] < 0.0
+    rep = check_feasibility(cx, z_bad)
+    assert not rep.feasible and rep.status == "infeasible"
+    y = rep.certificate
+    assert np.all(y >= -1e-9)
+    assert np.all(polytope.cone_inequalities(cx) @ y >= -1e-9)
+    assert float(z_bad @ y) <= polytope.TAU_FEAS

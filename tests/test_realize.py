@@ -33,6 +33,14 @@ def test_distance_properties():
         assert distance(p, r) <= distance(p, q) + distance(q, r) + 1e-10
 
 
+def test_distance_resolves_small_separations():
+    # arccosh(-<p,q>) rounds these to 0, which hid closure residuals
+    for d in (1e-12, 1e-10, 1e-8):
+        p = np.array([1.0, 0.0, 0.0])
+        q = np.array([math.cosh(d), math.sinh(d), 0.0])
+        assert distance(p, q) == pytest.approx(d, rel=1e-6)
+
+
 def test_distance_isometry_invariant():
     for _ in range(200):
         p, q = random_point(RNG), random_point(RNG)
@@ -65,6 +73,20 @@ def test_realization_matches_cosine_law_random_triples():
         )
         worst = max(worst, err)
     assert worst < 1e-9, worst
+
+
+def test_realization_long_sided_hexagons():
+    # short x-sides give long y-sides; coordinates grow like
+    # e^distance, and the residuals must still stay below the audit's
+    # 1e-8 gate
+    worst = 0.0
+    for _ in range(300):
+        x = tuple(np.exp(RNG.uniform(math.log(0.1), math.log(4.0), 3)))
+        r = realize_hexagon(x)
+        mx, _ = measured_xy(r)
+        err = max(abs(a - b) for a, b in zip(mx, x))
+        worst = max(worst, r.closure_residual, r.angle_residual, err)
+    assert worst < 1e-8, worst
 
 
 def test_realization_symmetric_hexagon():
