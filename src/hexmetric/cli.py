@@ -171,7 +171,7 @@ def cmd_energy_profile(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = ["segment,s,V"]
     for seg in range(args.samples):
-        t1 = solver.perturbed_interior_start(cx, z, rng)
+        t1 = solver.perturbed_interior_start(cx, z, rng, t0=t0)
         for s in np.linspace(0.0, 1.0, 21):
             t = (1.0 - s) * t0 + s * t1
             rows.append(f"{seg},{s:.17g},{solver.energy(cx, t):.17g}")

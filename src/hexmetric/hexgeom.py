@@ -4,13 +4,18 @@ A colored right-angled hyperbolic hexagon has alternating x-sides and
 y-sides, with y_i opposite x_i.  Everything here is a pure function of
 the three x-lengths (or of the half-difference coordinates t_i), namely:
 
-* the cosine law in both directions and the sine law,
+* the cosine law in both directions,
 * the antiderivatives of ln cosh and ln sinh (via the dilogarithm),
 * the concave per-hexagon energy, its exact gradient and Hessian,
 * a line-integral evaluation of the energy used as an independent check.
 
 The t-domain is the open cone H3 = {t in R^3 : t_i + t_j > 0 for i != j};
 x_i = t_j + t_k maps it onto the positive octant of x-space.
+
+The triple functions also take a stack of triples, shape (..., 3), and
+work along the last axis, so a whole complex is evaluated in one call.
+Inputs outside the domain raise DomainError; an overflow or a division
+by zero raises FloatingPointError rather than return inf or NaN.
 """
 
 from __future__ import annotations
@@ -35,116 +40,122 @@ class DomainError(ValueError):
     """Input outside the hexagon parameter domain."""
 
 
-def _dilog(x: float) -> float:
-    # Li_2(x) for x <= 1; scipy's spence is Li_2(1 - x).
-    return float(spence(1.0 - x))
+# Entry i of a triple is paired with entries _J[i] = i+1 and _K[i] = i+2.
+_J = [1, 2, 0]
+_K = [2, 0, 1]
 
 
-def lambda1(u: float) -> float:
+def _raising() -> np.errstate:
+    # overflow, division by zero and invalid operations raise
+    # FloatingPointError rather than return inf or NaN
+    return np.errstate(over="raise", divide="raise", invalid="raise")
+
+
+def _require(ok: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise DomainError naming the first triple whose entry of `ok` is
+    false (a NaN comparison counts as false)."""
+    if not np.all(ok):
+        bad = np.reshape(values, (-1, 3))[~np.reshape(ok, -1)][0]
+        raise DomainError(f"{message}: {tuple(bad.tolist())}")
+
+
+def lambda1(u):
     """Antiderivative of ln cosh:  integral of ln cosh(s) over [0, u].
 
     Odd in u.  Closed form uses ln cosh s = s - ln 2 + ln(1 + e^{-2s}).
+    Elementwise on arrays.
     """
-    if not math.isfinite(u):
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
         raise DomainError(f"lambda1 requires finite u, got {u}")
-    if u < 0.0:
-        return -lambda1(-u)
-    if u == 0.0:
-        return 0.0
-    return 0.5 * u * u - u * _LN2 + 0.5 * _dilog(-math.exp(-2.0 * u)) + _PI2_24
+    a = np.abs(u)
+    with _raising():
+        # Li_2(x) is spence(1 - x)
+        v = 0.5 * a * a - a * _LN2 + 0.5 * spence(1.0 + np.exp(-2.0 * a)) + _PI2_24
+    return np.sign(u) * v
 
 
-def lambda2(u: float) -> float:
+def lambda2(u):
     """Antiderivative of ln sinh:  integral of ln sinh(s) over [0, u], u >= 0.
 
     The integrand has an integrable log singularity at 0; the closed form
-    below is finite on [0, inf) with lambda2(0) = 0.
+    below is finite on [0, inf) with lambda2(0) = 0.  Elementwise on arrays.
     """
-    if not (u >= 0.0) or not math.isfinite(u):
+    u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0.0) & np.isfinite(u)):
         raise DomainError(f"lambda2 requires u >= 0, got {u}")
-    if u == 0.0:
-        return 0.0
-    return 0.5 * u * u - u * _LN2 + 0.5 * _dilog(math.exp(-2.0 * u)) - _PI2_12
+    with _raising():
+        v = 0.5 * u * u - u * _LN2 + 0.5 * spence(1.0 - np.exp(-2.0 * u)) - _PI2_12
+    return np.where(u > 0.0, v, 0.0)[()]
 
 
-def _check_positive(v: Triple, name: str) -> None:
-    for c in v:
-        if not (c > 0.0) or not math.isfinite(c):
-            raise DomainError(f"{name} must be strictly positive and finite, got {v}")
+def _check_positive(v: np.ndarray, name: str) -> None:
+    ok = np.all((v > 0.0) & np.isfinite(v), axis=-1)
+    _require(ok, v, f"{name} must be strictly positive and finite")
 
 
-def arccosh(w: float) -> float:
-    """arccosh(w) = ln(w + sqrt((w-1)(w+1))), stable for w near 1."""
-    if w < 1.0:
-        if w > 1.0 - 1e-12:
-            w = 1.0
-        else:
-            raise DomainError(f"arccosh argument below 1: {w}")
-    return math.log(w + math.sqrt((w - 1.0) * (w + 1.0)))
+def arccosh(w):
+    """arccosh(w) = ln(w + sqrt((w-1)(w+1))), stable for w near 1;
+    arguments within 1e-12 below 1 are rounded up to 1."""
+    w = np.asarray(w, dtype=float)
+    if not np.all(w >= 1.0 - 1e-12):
+        raise DomainError(f"arccosh argument below 1: {np.min(w)}")
+    w = np.maximum(w, 1.0)
+    return np.log(w + np.sqrt((w - 1.0) * (w + 1.0)))
 
 
-def cosine_law_y(x: Triple) -> Triple:
+def cosine_law_y(x):
     """y-side lengths from x-side lengths.
 
     cosh y_i = (cosh x_i + cosh x_j cosh x_k) / (sinh x_j sinh x_k); the
     argument exceeds 1 for every positive x, so the law is total.
     """
+    x = np.asarray(x, dtype=float)
     _check_positive(x, "x")
-    c = [math.cosh(v) for v in x]
-    s = [math.sinh(v) for v in x]
-    out = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        out.append(arccosh((c[i] + c[j] * c[k]) / (s[j] * s[k])))
-    return (out[0], out[1], out[2])
+    with _raising():
+        c, s = np.cosh(x), np.sinh(x)
+        return arccosh((c + c[..., _J] * c[..., _K]) / (s[..., _J] * s[..., _K]))
 
 
-def cosine_law_x(y: Triple) -> Triple:
+def cosine_law_x(y):
     """Inverse law: x-side lengths from y-side lengths.
 
     Same formula with the colors swapped; total on positive triples.
     """
+    y = np.asarray(y, dtype=float)
     _check_positive(y, "y")
     return cosine_law_y(y)
 
 
-def sine_ratio(x: Triple) -> float:
-    """sinh(x_i)/sinh(y_i); the sine law makes it independent of i."""
-    y = cosine_law_y(x)
-    return math.sinh(x[0]) / math.sinh(y[0])
-
-
-def x_to_t(x: Triple) -> Triple:
+def x_to_t(x):
     """Half-difference coordinates t_i = (x_j + x_k - x_i)/2."""
+    x = np.asarray(x, dtype=float)
     _check_positive(x, "x")
-    return (
-        0.5 * (x[1] + x[2] - x[0]),
-        0.5 * (x[2] + x[0] - x[1]),
-        0.5 * (x[0] + x[1] - x[2]),
-    )
+    return 0.5 * (x[..., _J] + x[..., _K] - x)
 
 
-def t_to_x(t: Triple) -> Triple:
+def t_to_x(t):
     """Inverse of x_to_t: x_i = t_j + t_k.  Requires t in closed H3."""
+    t = np.asarray(t, dtype=float)
     _require_closed_h3(t)
-    return (t[1] + t[2], t[2] + t[0], t[0] + t[1])
+    return t[..., _J] + t[..., _K]
 
 
-def pair_sums(t: Triple) -> Triple:
-    return (t[0] + t[1], t[1] + t[2], t[2] + t[0])
+def pair_sums(t):
+    """(t1 + t2, t2 + t3, t3 + t1)."""
+    t = np.asarray(t, dtype=float)
+    return t + t[..., _J]
 
 
-def _require_closed_h3(t: Triple) -> None:
-    if min(pair_sums(t)) < 0.0:
-        raise DomainError(f"t outside closed H3: {t}")
+def _require_closed_h3(t: np.ndarray) -> None:
+    _require(np.min(pair_sums(t), axis=-1) >= 0.0, t, "t outside closed H3")
 
 
-def _require_open_h3(t: Triple) -> None:
-    if min(pair_sums(t)) <= H3_MARGIN:
-        raise DomainError(f"t not strictly inside H3: {t}")
+def _require_open_h3(t: np.ndarray) -> None:
+    _require(np.min(pair_sums(t), axis=-1) > H3_MARGIN, t, "t not strictly inside H3")
 
 
-def theta(t: Triple) -> float:
+def theta(t):
     """Concave hexagon energy on the closed cone H3.
 
     2*theta(t) = lambda1(t1+t2+t3) + sum_i lambda1(t_i)
@@ -154,16 +165,17 @@ def theta(t: Triple) -> float:
     theta_max_on_slice), hence is nonnegative and bounded there.  With a
     sufficiently negative coordinate the value can be negative.
     """
+    t = np.asarray(t, dtype=float)
     _require_closed_h3(t)
-    total = lambda1(t[0] + t[1] + t[2])
-    for ti in t:
-        total += lambda1(ti)
-    for p in pair_sums(t):
-        total -= lambda2(max(p, 0.0))
+    total = (
+        lambda1(t.sum(axis=-1))
+        + lambda1(t).sum(axis=-1)
+        - lambda2(np.maximum(pair_sums(t), 0.0)).sum(axis=-1)
+    )
     return 0.5 * total
 
 
-def theta_grad(t: Triple) -> Triple:
+def theta_grad(t):
     """Exact gradient of theta, components ln cosh(y_i/2).
 
     Evaluated without the cosine law as
@@ -171,49 +183,42 @@ def theta_grad(t: Triple) -> Triple:
                       - ln sinh(t_i+t_j) - ln sinh(t_i+t_k);
     strictly positive, divergent on the boundary of H3.
     """
+    t = np.asarray(t, dtype=float)
     _require_open_h3(t)
-    lc_sum = _lncosh(t[0] + t[1] + t[2])
-    out = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        out.append(
-            0.5
-            * (
-                lc_sum
-                + _lncosh(t[i])
-                - math.log(math.sinh(t[i] + t[j]))
-                - math.log(math.sinh(t[i] + t[k]))
-            )
+    with _raising():
+        ln_sinh = np.log(np.sinh(pair_sums(t)))  # entry i: ln sinh(t_i + t_j)
+        return 0.5 * (
+            _lncosh(t.sum(axis=-1))[..., None] + _lncosh(t) - ln_sinh - ln_sinh[..., _K]
         )
-    return (out[0], out[1], out[2])
 
 
-def _lncosh(u: float) -> float:
+def _lncosh(u):
     # ln cosh u = |u| - ln 2 + ln(1 + e^{-2|u|}), overflow safe.
-    a = abs(u)
-    return a - _LN2 + math.log1p(math.exp(-2.0 * a))
+    a = np.abs(u)
+    return a - _LN2 + np.log1p(np.exp(-2.0 * a))
 
 
-def theta_hessian(t: Triple) -> np.ndarray:
-    """Hessian of theta at an interior point, as a 3x3 numpy array.
+def theta_hessian(t):
+    """Hessian of theta at an interior point: shape (3, 3) for one
+    triple, (..., 3, 3) for a stack.
 
     Off-diagonal (i, j):  -2A sinh^2(y_i/2) sinh^2(y_j/2)
     Diagonal   (i, i):    -2A sinh^2(y_i/2) (sinh^2(y_j/2)+sinh^2(y_k/2)+1)
     with the sine-law constant A = sinh(x_i) / (sinh^2(y_i) sinh(x_j) sinh(x_k)).
     Negative definite; -H is strictly diagonally dominant.
     """
+    t = np.asarray(t, dtype=float)
     _require_open_h3(t)
     x = t_to_x(t)
     y = cosine_law_y(x)
-    a_const = math.sinh(x[0]) / (
-        math.sinh(y[0]) ** 2 * math.sinh(x[1]) * math.sinh(x[2])
-    )
-    sh2 = [math.sinh(v / 2.0) ** 2 for v in y]
-    h = np.empty((3, 3))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        h[i, i] = -2.0 * a_const * sh2[i] * (sh2[j] + sh2[k] + 1.0)
-        h[i, j] = h[j, i] = -2.0 * a_const * sh2[i] * sh2[j]
+    with _raising():
+        sx = np.sinh(x)
+        minus_2a = -2.0 * sx[..., 0] / (np.sinh(y[..., 0]) ** 2 * sx[..., 1] * sx[..., 2])
+        sh2 = np.sinh(y / 2.0) ** 2
+        h = minus_2a[..., None, None] * (sh2[..., :, None] * sh2[..., None, :])
+        h[..., [0, 1, 2], [0, 1, 2]] = (
+            minus_2a[..., None] * sh2 * (sh2[..., _J] + sh2[..., _K] + 1.0)
+        )
     return h
 
 
@@ -236,21 +241,16 @@ def path_integral(points: list[Triple], segments: int) -> float:
     total = 0.0
     for a, b in zip(points[:-1], points[1:]):
         a_arr = np.asarray(a, dtype=float)
-        b_arr = np.asarray(b, dtype=float)
-        d = b_arr - a_arr
-        singular = bool(np.all(a_arr == 0.0))
-        if singular:
+        d = np.asarray(b, dtype=float) - a_arr
+        if np.all(a_arr == 0.0):
             # breakpoints 0 < r^(n-1) < ... < r < 1 with ratio 1/2
-            cuts = [0.0] + [0.5 ** (segments - 1 - i) for i in range(segments)]
+            cuts = np.array([0.0] + [0.5 ** (segments - 1 - i) for i in range(segments)])
         else:
-            cuts = list(np.linspace(0.0, 1.0, segments + 1))
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            width = hi - lo
-            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-                s = lo + width * node
-                p = tuple(a_arr + s * d)
-                g = theta_grad(p)
-                total += width * weight * float(np.dot(g, d))
+            cuts = np.linspace(0.0, 1.0, segments + 1)
+        width = np.diff(cuts)[:, None]
+        s = (cuts[:-1, None] + width * _GL_NODES).ravel()
+        weights = (width * _GL_WEIGHTS).ravel()
+        total += float(weights @ (theta_grad(a_arr + s[:, None] * d) @ d))
     return total
 
 

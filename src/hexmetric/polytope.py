@@ -110,25 +110,23 @@ class PolytopeReport:
 def cone_inequalities(cx: HexComplex) -> np.ndarray:
     """Rows r with r.y >= 0 cutting out the cone D (triangle rows only;
     nonnegativity is implied and appended separately by callers)."""
-    rows = []
-    for h in range(cx.n):
-        tri = cx.edges_of_hexagon(h)
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            row = np.zeros(cx.num_edges)
-            row[tri[i]] += 1.0
-            row[tri[j]] += 1.0
-            row[tri[k]] -= 1.0
-            rows.append(row)
-    return np.vstack(rows)
+    # row 3h + i: y(e_i) + y(e_j) - y(e_k) over hexagon h's edges, with
+    # j = i + 1 and k = i + 2; an edge twice in a hexagon adds up
+    tri = cx.hex_edges
+    row = np.arange(cx.num_arcs).reshape(cx.n, 3)
+    rows = np.zeros((cx.num_arcs, cx.num_edges))
+    np.add.at(rows, (row, tri), 1.0)
+    np.add.at(rows, (row, tri[:, [1, 2, 0]]), 1.0)
+    np.add.at(rows, (row, tri[:, [2, 0, 1]]), -1.0)
+    return rows
 
 
 def _margin_lp(cx: HexComplex, z: np.ndarray):
     """Max-margin point of the slice with invariant z.
 
     Maximizes mu over one free s per edge subject to, for every arc w
-    with hexagon-mates u, v,  x(w) = t(u) + t(v) >= mu,  where
-    t = z/2 + sign * s (coords.edge_maps).  Returns (mu, t, y).  mu is
+    with hexagon-mates u, v,  x(w) = t(u) + t(v) >= mu,  where t is the
+    slice point coords.slice_point(cx, z, s).  Returns (mu, t, y).  mu is
     also the minimum of z.y over the cone D cut by sum(y) = 1: the cone
     LP is this LP's dual, and y is its minimizer, read off the row
     multipliers lam: y(e) = lam(u) + lam(v) for the mates u, v of a
@@ -139,15 +137,16 @@ def _margin_lp(cx: HexComplex, z: np.ndarray):
     from scipy import sparse
 
     m = cx.num_edges
-    edge_of, sign = coords.edge_maps(cx)
-    hex_arcs = np.array([cx.arcs_of_hexagon(h) for h in range(cx.n)])
-    w = hex_arcs.ravel()
+    k = cx.num_arcs
+    edge_of, sign = cx.arc_edge, cx.arc_sign
+    # row w = 0, 1, ... reads x(w) = t(u) + t(v) for the mates u, v of w
+    hex_arcs = np.arange(k).reshape(cx.n, 3)
     u = hex_arcs[:, [1, 2, 0]].ravel()
     v = hex_arcs[:, [2, 0, 1]].ravel()
-    rows = np.repeat(np.arange(w.size), 3)
-    cols = np.stack([edge_of[u], edge_of[v], np.full(w.size, m)], axis=1).ravel()
-    vals = np.stack([-sign[u], -sign[v], np.ones(w.size)], axis=1).ravel()
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(w.size, m + 1))
+    rows = np.repeat(np.arange(k), 3)
+    cols = np.stack([edge_of[u], edge_of[v], np.full(k, m)], axis=1).ravel()
+    vals = np.stack([-sign[u], -sign[v], np.ones(k)], axis=1).ravel()
+    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(k, m + 1))
     b_ub = 0.5 * (z[edge_of[u]] + z[edge_of[v]])
     c = np.zeros(m + 1)
     c[m] = -1.0
@@ -156,12 +155,10 @@ def _margin_lp(cx: HexComplex, z: np.ndarray):
         raise LPError("margin LP unbounded; complex has no boundary constraint")
     if status != "optimal":
         raise LPError(f"margin LP unexpectedly {status}")
-    s = res.x[:m]
-    t = 0.5 * z[edge_of] + sign * s[edge_of]
+    t = coords.slice_point(cx, z, res.x[:m])
     # multipliers of a maximization are >= 0 up to HiGHS's dual tolerance
-    lam = np.zeros(cx.num_arcs)
-    lam[w] = np.maximum(-res.ineqlin.marginals, 0.0)
-    y = 0.5 * np.bincount(edge_of[w], weights=lam[u] + lam[v], minlength=m)
+    lam = np.maximum(-res.ineqlin.marginals, 0.0)
+    y = 0.5 * np.bincount(edge_of, weights=lam[u] + lam[v], minlength=m)
     return float(res.x[m]), t, y
 
 
@@ -203,7 +200,7 @@ def check_cycles(cx: HexComplex, z, cycles: list[EdgeCycle]) -> list[tuple[EdgeC
     z = np.asarray(z, dtype=float)
     out = []
     for cyc in cycles:
-        s = float(sum(z[e] for e in cyc.edges))
+        s = float(z[list(cyc.edges)].sum())
         if s <= 0.0:
             out.append((cyc, s))
     return out

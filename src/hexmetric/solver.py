@@ -9,6 +9,10 @@ maximization over an open convex domain.  At the maximizer the two
 hexagon-side lengths of every edge agree, which is exactly the gluing
 condition for a hyperbolic metric; the reduced gradient component of
 s_e is ln cosh(y_a/2) - ln cosh(y_b/2).
+
+Each Newton quantity is one hexgeom call on the (n, 3) array of all
+hexagons' t-triples, scattered to the edges through the complex's
+incidence arrays; the reduced Hessian is sparse, 9 entries per hexagon.
 """
 
 from __future__ import annotations
@@ -62,27 +66,29 @@ class HyperbolicMetric:
     z: np.ndarray
 
 
+# relative residual at which the Newton system's iterative solve stops
+_CG_RTOL = 1e-12
+
+
 class SolveError(RuntimeError):
     def __init__(self, message: str, report: SolveReport | None = None):
         super().__init__(message)
         self.report = report
 
 
-_edge_maps = coords.edge_maps  # kept under its old name for existing callers
+def _s_of_t(cx: HexComplex, t: np.ndarray) -> np.ndarray:
+    """Free coordinates of a slice point: half the facing-pair difference."""
+    return 0.5 * (t[cx.edge_arcs[:, 0]] - t[cx.edge_arcs[:, 1]])
 
 
-def _hex_t(cx: HexComplex, t: np.ndarray, h: int) -> tuple[float, float, float]:
-    a, b, c = cx.arcs_of_hexagon(h)
-    return (t[a], t[b], t[c])
+def _achieved_z(cx: HexComplex, t: np.ndarray) -> np.ndarray:
+    """The per-edge invariant of t: the sum of each facing pair."""
+    return t[cx.edge_arcs].sum(axis=1)
 
 
 def domain_margin(cx: HexComplex, t: np.ndarray) -> float:
     """Smallest pairwise t-sum over all 2-cells."""
-    margin = np.inf
-    for h in range(cx.n):
-        th = _hex_t(cx, t, h)
-        margin = min(margin, min(hexgeom.pair_sums(th)))
-    return float(margin)
+    return float(np.min(hexgeom.pair_sums(np.reshape(t, (cx.n, 3)))))
 
 
 def energy(cx: HexComplex, t: np.ndarray) -> float:
@@ -90,41 +96,34 @@ def energy(cx: HexComplex, t: np.ndarray) -> float:
     t = np.asarray(t, dtype=float)
     if domain_margin(cx, t) <= 0.0:
         raise hexgeom.DomainError("t-coordinate outside the open domain")
-    return sum(hexgeom.theta(_hex_t(cx, t, h)) for h in range(cx.n))
+    return float(hexgeom.theta(t.reshape(cx.n, 3)).sum())
 
 
 def edge_side_lengths(cx: HexComplex, t: np.ndarray) -> np.ndarray:
     """(m, 2) array: the y-length each side's hexagon assigns to every
     edge under the realization with x-lengths from t."""
     x = coords.x_of(cx, t)
-    hex_y = [
-        hexgeom.cosine_law_y(tuple(x[w] for w in cx.arcs_of_hexagon(h)))
-        for h in range(cx.n)
-    ]
-    out = np.empty((cx.num_edges, 2))
-    for e in range(cx.num_edges):
-        for side, (h, q) in enumerate(cx.edge_slots(e)):
-            out[e, side] = hex_y[h][((q + 3) % 6) // 2]
-    return out
+    return hexgeom.cosine_law_y(x.reshape(cx.n, 3)).ravel()[cx.edge_arcs]
 
 
-def _grad_hess_s(cx: HexComplex, t, edge_of, sign):
-    m = cx.num_edges
-    g_t = np.empty(cx.num_arcs)
-    h_s = np.zeros((m, m))
-    for h in range(cx.n):
-        arcs = cx.arcs_of_hexagon(h)
-        th = _hex_t(cx, t, h)
-        gh = hexgeom.theta_grad(th)
-        hh = hexgeom.theta_hessian(th)
-        for i, w in enumerate(arcs):
-            g_t[w] = gh[i]
-        for i, wi in enumerate(arcs):
-            for j, wj in enumerate(arcs):
-                h_s[edge_of[wi], edge_of[wj]] += sign[wi] * sign[wj] * hh[i, j]
-    g_s = np.zeros(m)
-    for w in range(cx.num_arcs):
-        g_s[edge_of[w]] += sign[w] * g_t[w]
+def _grad_hess_s(cx: HexComplex, t: np.ndarray):
+    """Gradient and Hessian of the energy in the free coordinates s.
+
+    Each hexagon's gradient 3-vector and Hessian 3x3 block are scattered
+    through its arcs' edges and signs; the Hessian is a sparse matrix
+    with 9 entries per hexagon (duplicates summed on conversion)."""
+    from scipy import sparse
+
+    ts = t.reshape(cx.n, 3)
+    g_s = np.bincount(
+        cx.arc_edge, weights=cx.arc_sign * hexgeom.theta_grad(ts).ravel(), minlength=cx.num_edges
+    )
+    edges = cx.arc_edge.reshape(cx.n, 3)
+    signs = cx.arc_sign.reshape(cx.n, 3)
+    blocks = signs[:, :, None] * signs[:, None, :] * hexgeom.theta_hessian(ts)
+    rows = np.broadcast_to(edges[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(edges[:, None, :], blocks.shape).ravel()
+    h_s = sparse.coo_array((blocks.ravel(), (rows, cols)), shape=(cx.num_edges,) * 2)
     return g_s, h_s
 
 
@@ -137,28 +136,25 @@ def maximize(
     """Newton ascent to the unique energy maximizer on the slice with
     invariant z.  `start_t` must already lie on the slice; by default
     the max-margin interior point is used."""
+    from scipy.sparse import diags_array
+    from scipy.sparse.linalg import cg
+
     cfg = cfg or SolveConfig()
     z = np.asarray(z, dtype=float)
-    edge_of, sign = coords.edge_maps(cx)
     if start_t is None:
         t = polytope.interior_point(cx, z)
     else:
         t = np.asarray(start_t, dtype=float)
-        achieved = np.array([t[a] + t[b] for a, b in map(cx.facing_arcs, range(cx.num_edges))])
-        if not np.allclose(achieved, z, atol=1e-9):
+        if not np.allclose(_achieved_z(cx, t), z, atol=1e-9):
             raise SolveError("start point does not satisfy the slice equalities")
-    s = np.array([0.5 * (t[cx.facing_arcs(e)[0]] - t[cx.facing_arcs(e)[1]]) for e in range(cx.num_edges)])
-
-    def t_of_s(sv: np.ndarray) -> np.ndarray:
-        return 0.5 * z[edge_of] + sign * sv[edge_of]
-
-    t = t_of_s(s)
+    s = _s_of_t(cx, t)
+    t = coords.slice_point(cx, z, s)
     if domain_margin(cx, t) <= cfg.margin_floor:
         raise SolveError("starting point is not interior")
     val = energy(cx, t)
     report = None
     for it in range(1, cfg.max_iter + 1):
-        g_s, h_s = _grad_hess_s(cx, t, edge_of, sign)
+        g_s, h_s = _grad_hess_s(cx, t)
         sides = edge_side_lengths(cx, t)
         mismatch = float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
         grad_norm = float(np.max(np.abs(g_s)))
@@ -168,11 +164,15 @@ def maximize(
                 grad_norm=grad_norm,
                 consistency=mismatch,
                 energy=val,
-                achieved_z=np.array([t[a] + t[b] for a, b in map(cx.facing_arcs, range(cx.num_edges))]),
+                achieved_z=_achieved_z(cx, t),
                 converged=True,
             )
             return t, report
-        step = np.linalg.solve(-h_s, g_s)
+        neg_h = -h_s.tocsr()
+        # -H is symmetric positive definite and diagonally dominant, so
+        # diagonally preconditioned CG converges fast (a sparse LU fills
+        # in); an inexact step is still an ascent direction.
+        step, _ = cg(neg_h, g_s, rtol=_CG_RTOL, M=diags_array(1.0 / neg_h.diagonal()))
         slope = float(g_s @ step)
         if slope < 0.0:
             raise SolveError("Newton direction is not an ascent direction")
@@ -185,7 +185,7 @@ def maximize(
                     SolveReport(it, grad_norm, mismatch, val, z.copy(), False),
                 )
             s_try = s + alpha * step
-            t_try = t_of_s(s_try)
+            t_try = coords.slice_point(cx, z, s_try)
             if domain_margin(cx, t_try) <= cfg.margin_floor:
                 alpha *= cfg.backtrack
                 continue
@@ -220,8 +220,9 @@ def extract_metric(cx: HexComplex, t: np.ndarray, cfg: SolveConfig | None = None
             f"per-edge length mismatch {mismatch:.3e} exceeds tolerance "
             f"{cfg.consistency_tol:.3e}; maximizer not converged"
         )
-    hex_x = [tuple(x[w] for w in cx.arcs_of_hexagon(h)) for h in range(cx.n)]
-    hex_y = [hexgeom.cosine_law_y(xt) for xt in hex_x]
+    xs = x.reshape(cx.n, 3)
+    hex_x = list(map(tuple, xs.tolist()))
+    hex_y = list(map(tuple, hexgeom.cosine_law_y(xs).tolist()))
     return HyperbolicMetric(
         edge_lengths=sides.mean(axis=1),
         mismatch=mismatch,
@@ -245,32 +246,31 @@ def forward_map(cx: HexComplex, edge_lengths) -> tuple[np.ndarray, np.ndarray, n
         raise ValueError(f"expected {cx.num_edges} edge lengths")
     if np.any(lengths <= 0.0) or not np.all(np.isfinite(lengths)):
         raise ValueError("edge lengths must be strictly positive and finite")
-    x = np.empty(cx.num_arcs)
-    for h in range(cx.n):
-        # x-arc i (position 2i) is opposite the y-slot at position 2i+3
-        y_triple = tuple(
-            lengths[cx.edge_of_yslot((h, (2 * i + 3) % 6))] for i in range(3)
-        )
-        xt = hexgeom.cosine_law_x(y_triple)
-        for i, w in enumerate(cx.arcs_of_hexagon(h)):
-            x[w] = xt[i]
+    # each arc's opposite y-side is the edge it faces
+    x = hexgeom.cosine_law_x(lengths[cx.arc_edge].reshape(cx.n, 3)).ravel()
     z = coords.e_invariant(cx, x)
     return z, coords.boundary_lengths(cx, x), x
 
 
 def perturbed_interior_start(
-    cx: HexComplex, z, rng: np.random.Generator, spread: float = 0.5
+    cx: HexComplex,
+    z,
+    rng: np.random.Generator,
+    spread: float = 0.5,
+    t0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """A random interior point of the slice, for multi-start tests."""
+    """A random interior point of the slice, for multi-start tests: a
+    perturbation of the interior point t0 of the slice, by default the
+    max-margin one."""
     z = np.asarray(z, dtype=float)
-    t0 = polytope.interior_point(cx, z)
+    if t0 is None:
+        t0 = polytope.interior_point(cx, z)
     mu = domain_margin(cx, t0)
-    edge_of, sign = coords.edge_maps(cx)
-    s0 = np.array([0.5 * (t0[cx.facing_arcs(e)[0]] - t0[cx.facing_arcs(e)[1]]) for e in range(cx.num_edges)])
+    s0 = _s_of_t(cx, t0)
     scale = spread * mu
     while True:
         s = s0 + rng.uniform(-scale, scale, cx.num_edges)
-        t = 0.5 * z[edge_of] + sign * s[edge_of]
+        t = coords.slice_point(cx, z, s)
         if domain_margin(cx, t) > 0.05 * mu:
             return t
         scale *= 0.5

@@ -18,10 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 Slot = tuple[int, int]  # (hexagon index, position 0..5)
 
 Y_POSITIONS = (1, 3, 5)
 X_POSITIONS = (0, 2, 4)
+# offset within its hexagon of the x-arc opposite the y-slot at 2k + 1
+OPPOSITE_ARC = (2, 0, 1)
 
 
 class InvalidComplexError(ValueError):
@@ -70,9 +74,6 @@ class EdgeCycle:
             counts[e] = counts.get(e, 0) + 1
         return all(c <= 2 for c in counts.values())
 
-    def canonical_key(self, num_edges: int) -> tuple[int, ...]:
-        return self.multiplicities(num_edges)
-
 
 @dataclass(frozen=True)
 class CycleEnumeration:
@@ -82,7 +83,21 @@ class CycleEnumeration:
 
 @dataclass
 class HexComplex:
-    """Immutable (after construction) hexagon complex."""
+    """Immutable (after construction) hexagon complex.
+
+    The x-arc at position 2i of hexagon h has index 3h + i, so an array
+    over arcs reshaped to (n, 3) is an array over hexagons.  The other
+    incidences are built once, as read-only arrays:
+
+    * ``hex_edges[h, k]``: the edge glued at y-slot (h, 2k + 1);
+    * ``edge_arcs[e, side]``: the x-arc facing side `side` of edge e,
+      i.e. opposite the y-slot ``gluings[e][side]``;
+    * ``arc_edge[w]``, ``arc_sign[w]``: the edge arc w faces, and +1 or
+      -1 as it faces side 0 or side 1 of it;
+    * ``arc_boundary[w]``: the boundary component containing arc w;
+    * ``arc_boundary_edge[w]``: the edge after arc w in the boundary
+      edge cycle of that component.
+    """
 
     n: int
     gluings: list[tuple[Slot, Slot, bool]]
@@ -119,17 +134,84 @@ class HexComplex:
         elif len(set(self.labels)) != self.num_edges:
             raise InvalidComplexError("duplicate edge labels")
         self._check_connected()
-        # corner identifications: hexagon-vertex -> its partner vertex
-        self._vertex_partner: dict[Slot, Slot] = {}
-        for (h1, q1), (h2, q2), rev in self.gluings:
-            if rev:
-                pairs = [((h1, q1), (h2, (q2 + 1) % 6)), ((h1, (q1 + 1) % 6), (h2, q2))]
-            else:
-                pairs = [((h1, q1), (h2, q2)), ((h1, (q1 + 1) % 6), (h2, (q2 + 1) % 6))]
-            for u, v in pairs:
-                self._vertex_partner[u] = v
-                self._vertex_partner[v] = u
-        self._boundary = self._trace_boundary()
+        self._build_incidence()
+
+    def _build_incidence(self) -> None:
+        n, m = self.n, self.num_edges
+        # slots[e, side] = (hexagon, position) of the glued y-slot
+        slots = np.array([(a, b) for a, b, _ in self.gluings], dtype=np.intp)
+        hexagon, q = slots[..., 0], slots[..., 1]
+        edge = np.arange(m)[:, None]
+        self.hex_edges = np.empty((n, 3), dtype=np.intp)
+        self.hex_edges[hexagon, q // 2] = edge
+        self.edge_arcs = 3 * hexagon + np.take(OPPOSITE_ARC, q // 2)
+        self.arc_edge = np.empty(3 * n, dtype=np.intp)
+        self.arc_edge[self.edge_arcs] = edge
+        self.arc_sign = np.empty(3 * n)
+        self.arc_sign[self.edge_arcs] = (1.0, -1.0)
+
+        # Corners: vertex 6h + p starts side p of hexagon h, so seam q
+        # runs from vertex 6h + q to 6h + q + 1.  A gluing identifies the
+        # ends of its two seams, start-to-start unless reversed.
+        rev = np.array([r for _, _, r in self.gluings], dtype=bool)
+        first = 6 * hexagon + q
+        last = 6 * hexagon + (q + 1) % 6
+        partner = np.empty(6 * n, dtype=np.intp)
+        for mine, theirs in (
+            (first[:, 0], np.where(rev, last[:, 1], first[:, 1])),
+            (last[:, 0], np.where(rev, first[:, 1], last[:, 1])),
+        ):
+            partner[mine] = theirs
+            partner[theirs] = mine
+        # vertex v ends x-arc v // 2 and the seam at position y_pos[v]
+        pos = np.arange(6 * n) % 6
+        y_pos = np.where(pos % 2 == 1, pos, (pos - 1) % 6)
+        seam_edge = self.hex_edges[np.arange(6 * n) // 6, y_pos // 2]
+        walks = self._boundary_walks(partner)
+        self._boundary = []
+        for v in walks:
+            p = partner[v]
+            # edges[i] sits between arcs[i] and arcs[i+1]; steps[i] is the
+            # corner containing arcs[i+1], joining edges[i] and edges[i+1]
+            steps = zip((p // 6).tolist(), y_pos[p].tolist(), y_pos[p ^ 1].tolist())
+            self._boundary.append(
+                BoundaryCycle(
+                    arcs=tuple((v // 2).tolist()),
+                    edges=tuple(seam_edge[v].tolist()),
+                    steps=tuple(steps),
+                )
+            )
+        v = np.concatenate(walks)
+        self.arc_boundary = np.empty(3 * n, dtype=np.intp)
+        self.arc_boundary[v // 2] = np.repeat(np.arange(len(walks)), [len(w) for w in walks])
+        self.arc_boundary_edge = np.empty(3 * n, dtype=np.intp)
+        self.arc_boundary_edge[v // 2] = seam_edge[v]
+        for a in (self.hex_edges, self.edge_arcs, self.arc_edge, self.arc_sign,
+                  self.arc_boundary, self.arc_boundary_edge):
+            a.flags.writeable = False
+
+    def _boundary_walks(self, partner: np.ndarray) -> list[np.ndarray]:
+        """Exit vertices of each boundary circle, in order of the
+        circle's lowest arc.
+
+        The walk leaves x-arc v // 2 through its end vertex v, crosses
+        to the partner corner, enters the next arc there and leaves it
+        through that arc's other end, partner[v] ^ 1.  It starts at the
+        counterclockwise end 2w + 1 of the lowest arc w.
+        """
+        leave = (partner ^ 1).tolist()
+        seen = bytearray(self.num_arcs)
+        walks = []
+        for start in range(self.num_arcs):
+            if seen[start]:
+                continue
+            walk = [2 * start + 1]
+            seen[start] = 1
+            while (v := leave[walk[-1]]) != walk[0]:
+                walk.append(v)
+                seen[v // 2] = 1
+            walks.append(np.array(walk))
+        return walks
 
     # -- basic counts ------------------------------------------------
 
@@ -158,40 +240,27 @@ class HexComplex:
     def arcs_of_hexagon(self, h: int) -> tuple[int, int, int]:
         return (3 * h, 3 * h + 1, 3 * h + 2)
 
-    def edge_of_yslot(self, slot: Slot) -> int:
-        return self._edge_of_yslot[slot]
-
     def edge_slots(self, e: int) -> tuple[Slot, Slot]:
         a, b, _ = self.gluings[e]
         return a, b
 
     def edges_of_hexagon(self, h: int) -> tuple[int, int, int]:
         """Edges at y-positions 1, 3, 5 (with repetition if self-glued)."""
-        return tuple(self._edge_of_yslot[(h, q)] for q in Y_POSITIONS)
+        return tuple(self.hex_edges[h].tolist())
 
     def label_index(self, label: str) -> int:
         return self.labels.index(label)
 
     # -- facing / adjacency -------------------------------------------
 
-    def opposite_x_slot(self, slot: Slot) -> Slot:
-        h, p = slot
-        if p % 2 == 0:
-            raise InvalidComplexError(f"slot {slot} is not a y-slot")
-        return (h, opposite_position(p))
-
     def facing_arcs(self, e: int) -> tuple[int, int]:
         """The two x-arcs opposite the glued y-slots of edge e; always
         distinct slots, even for a self-glued hexagon."""
-        a, b = self.edge_slots(e)
-        return (self.arc_index(self.opposite_x_slot(a)), self.arc_index(self.opposite_x_slot(b)))
+        return tuple(self.edge_arcs[e].tolist())
 
     def arc_to_edge(self, arc: int) -> tuple[int, int]:
         """Inverse of facing_arcs: the (edge, side) pair an x-arc faces."""
-        h, p = self.arc_slot(arc)
-        y = (h, opposite_position(p))
-        e = self._edge_of_yslot[y]
-        return e, 0 if self.gluings[e][0] == y else 1
+        return int(self.arc_edge[arc]), 0 if self.arc_sign[arc] > 0.0 else 1
 
     def adjacent_arcs(self, e: int) -> list[int]:
         """The four x-arcs at positions +-1 of the glued y-slots, with
@@ -203,55 +272,6 @@ class HexComplex:
         return out
 
     # -- boundary ------------------------------------------------------
-
-    def _x_slot_at_vertex(self, v: Slot) -> Slot:
-        h, p = v
-        return (h, p if p % 2 == 0 else (p - 1) % 6)
-
-    def _y_slot_at_vertex(self, v: Slot) -> Slot:
-        h, p = v
-        return (h, p if p % 2 == 1 else (p - 1) % 6)
-
-    def _trace_boundary(self) -> list[BoundaryCycle]:
-        seen: set[int] = set()
-        cycles = []
-        for start in range(self.num_arcs):
-            if start in seen:
-                continue
-            arcs: list[int] = []
-            edges: list[int] = []
-            steps: list[tuple[int, int, int]] = []
-            arc = start
-            h, p = self.arc_slot(arc)
-            exit_vertex = (h, (p + 1) % 6)
-            # each step leaves the current arc through exit_vertex, jumps
-            # to its identified partner corner, and enters the x-arc there
-            while True:
-                arcs.append(arc)
-                seen.add(arc)
-                partner = self._vertex_partner[exit_vertex]
-                edges.append(self._edge_of_yslot[self._y_slot_at_vertex(exit_vertex)])
-                next_arc = self.arc_index(self._x_slot_at_vertex(partner))
-                nh, np_ = self.arc_slot(next_arc)
-                entered_y = self._y_slot_at_vertex(partner)[1]
-                if partner == (nh, np_):
-                    next_exit = (nh, (np_ + 1) % 6)
-                else:
-                    next_exit = (nh, np_)
-                other_y = self._y_slot_at_vertex(next_exit)[1]
-                # corner containing the next arc, joining this edge and
-                # the next one
-                steps.append((nh, entered_y, other_y))
-                if next_arc == start:
-                    break
-                arc = next_arc
-                exit_vertex = next_exit
-            # edges[i] sits between arcs[i] and arcs[i+1]; steps[i] is the
-            # corner containing arcs[i+1], joining edges[i] and edges[i+1].
-            cycles.append(
-                BoundaryCycle(arcs=tuple(arcs), edges=tuple(edges), steps=tuple(steps))
-            )
-        return cycles
 
     def boundary_components(self) -> list[BoundaryCycle]:
         return list(self._boundary)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hexmetric.surface import HexComplex
+from hexmetric.surface import HexComplex, InvalidComplexError
 
 # Three fixture complexes:
 # * pants: two hexagons glued front-to-back along all three seams
@@ -57,3 +57,18 @@ def all_fixtures(pants, torus, four):
 
 def random_lengths(rng: np.random.Generator, size: int, lo=0.3, hi=3.0) -> np.ndarray:
     return rng.uniform(lo, hi, size)
+
+
+def seeded_complex(n: int, seed: int) -> HexComplex:
+    """Connected complex of n hexagons: the 3n seams paired uniformly at
+    random with random orientation, redrawn while disconnected."""
+    rng = np.random.default_rng(seed)
+    slots = [(h, q) for h in range(n) for q in (1, 3, 5)]
+    while True:
+        pairs = rng.permutation(len(slots)).reshape(-1, 2)
+        flips = rng.integers(0, 2, len(pairs))
+        gluings = [(slots[a], slots[b], bool(f)) for (a, b), f in zip(pairs, flips)]
+        try:
+            return HexComplex(n=n, gluings=gluings)
+        except InvalidComplexError:
+            continue

@@ -155,6 +155,23 @@ def test_energy_profile_zero_samples(pants_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "segment,s,V"
 
 
+def test_energy_profile_solves_one_lp(pants_file, tmp_path, capsys, monkeypatch):
+    # every segment starts at the same interior point, so its LP is solved once
+    from hexmetric import polytope
+
+    calls = []
+    margin_lp = polytope._margin_lp
+
+    def counting_lp(*args, **kwargs):
+        calls.append(1)
+        return margin_lp(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "_margin_lp", counting_lp)
+    z = write_coords(tmp_path, "z.json", {"e0": 1, "e1": 1, "e2": 1})
+    assert run(["energy-profile", pants_file, "--z", z, "--samples", "3"]) == 0
+    assert len(calls) == 1
+
+
 def test_polytope_listing(pants_file, capsys):
     assert run(["polytope", pants_file]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -207,3 +207,37 @@ def test_domain_errors():
         hexgeom.theta_grad((1.0, -1.0, 2.0))  # on the closed face t1+t2=0
     with pytest.raises(hexgeom.DomainError):
         hexgeom.theta((5.0, -3.0, -3.0))
+
+
+def test_stacked_triples_match_per_row_calls():
+    ts = np.array([random_t(RNG) for _ in range(40)])
+    xs = RNG.uniform(0.05, 5.0, (40, 3))
+    for f, rows in (
+        (hexgeom.theta, ts),
+        (hexgeom.theta_grad, ts),
+        (hexgeom.theta_hessian, ts),
+        (hexgeom.cosine_law_y, xs),
+    ):
+        stacked = f(rows)
+        assert stacked.shape == (40,) + np.shape(f(rows[0]))
+        np.testing.assert_array_equal(stacked, [f(r) for r in rows])
+
+
+@pytest.mark.parametrize(
+    "f, row",
+    [
+        (hexgeom.theta, (5.0, -3.0, -3.0)),  # outside the closed cone
+        (hexgeom.theta, (np.nan, 1.0, 1.0)),
+        (hexgeom.theta_grad, (1.0, -1.0, 2.0)),  # on the face t1 + t2 = 0
+        (hexgeom.theta_grad, (400.0, 400.0, 400.0)),  # sinh overflows
+        (hexgeom.theta_hessian, (400.0, 400.0, 400.0)),
+        (hexgeom.theta_hessian, (1.0, np.inf, 1.0)),
+        (hexgeom.cosine_law_y, (800.0, 1.0, 1.0)),  # cosh overflows
+        (hexgeom.cosine_law_y, (1.0, 0.0, 1.0)),
+    ],
+)
+def test_one_bad_row_raises(f, row):
+    rows = np.array([random_t(RNG) for _ in range(8)])
+    rows[5] = row
+    with pytest.raises((hexgeom.DomainError, ArithmeticError)):
+        f(rows)

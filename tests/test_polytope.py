@@ -11,7 +11,8 @@ from hexmetric.polytope import (
     interior_point,
     lp_solve,
 )
-from hexmetric.surface import HexComplex, InvalidComplexError
+
+from conftest import seeded_complex
 
 RNG = np.random.default_rng(20240813)
 
@@ -194,21 +195,6 @@ def test_report_json(pants):
     assert d["feasible"] is True
     assert set(d["boundary_values"]) == {"b0", "b1", "b2"}
     assert len(d["witness_x_arcs"]) == 6
-
-
-def seeded_complex(n: int, seed: int) -> HexComplex:
-    """Connected complex of n hexagons: the 3n seams paired uniformly at
-    random with random orientation, redrawn while disconnected."""
-    rng = np.random.default_rng(seed)
-    slots = [(h, q) for h in range(n) for q in (1, 3, 5)]
-    while True:
-        pairs = rng.permutation(len(slots)).reshape(-1, 2)
-        flips = rng.integers(0, 2, len(pairs))
-        gluings = [(slots[a], slots[b], bool(f)) for (a, b), f in zip(pairs, flips)]
-        try:
-            return HexComplex(n=n, gluings=gluings)
-        except InvalidComplexError:
-            continue
 
 
 def test_large_complex_witness_and_certificate():

@@ -1,5 +1,8 @@
 """Energy maximization: convergence, uniqueness, round trips."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from hexmetric.solver import (
     perturbed_interior_start,
 )
 
-from conftest import random_lengths
+from conftest import random_lengths, seeded_complex
 
 RNG = np.random.default_rng(20240814)
 
@@ -97,11 +100,12 @@ def test_energy_concave_along_segments(pants):
 def test_reduced_gradient_matches_finite_differences(pants):
     z = np.array([0.8, 1.2, 1.0])
     t = polytope.interior_point(pants, z)
-    edge_of, sign = solver._edge_maps(pants)
+    edge_of, sign = coords.edge_maps(pants)
     s = np.array(
         [0.5 * (t[pants.facing_arcs(e)[0]] - t[pants.facing_arcs(e)[1]]) for e in range(3)]
     )
-    g_s, h_s = solver._grad_hess_s(pants, t, edge_of, sign)
+    g_s, h_s = solver._grad_hess_s(pants, t)
+    h_s = h_s.toarray()
     h = 1e-6
     for e in range(3):
         sp, sm = s.copy(), s.copy()
@@ -169,3 +173,21 @@ def test_forward_map_validation(pants):
         forward_map(pants, np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         forward_map(pants, np.array([1.0, 1.0]))
+
+
+# Reference iteration counts and solved edge lengths on these inputs,
+# recorded from a per-hexagon scalar implementation of the Newton loop;
+# the array implementation must match the counts exactly.
+NEWTON_PIN = json.loads((Path(__file__).parent / "data" / "newton_pin.json").read_text())
+
+
+@pytest.mark.parametrize("n", [2, 32, 512])
+def test_newton_pinned_on_seeded_complexes(n):
+    cx = seeded_complex(n, 20241003 + n)
+    lengths = np.random.default_rng([n, 11]).uniform(0.3, 3.0, cx.num_edges)
+    z, _, _ = forward_map(cx, lengths)
+    t, rep = maximize(cx, z)
+    pin = NEWTON_PIN[str(n)]
+    assert rep.iterations == pin["iterations"]
+    edge_lengths = extract_metric(cx, t).edge_lengths
+    assert np.max(np.abs(edge_lengths - pin["edge_lengths"])) < 1e-12
