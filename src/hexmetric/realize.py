@@ -3,9 +3,10 @@
 Independent geometric oracle: each right-angled hexagon is built
 vertex-by-vertex on the sheet x0 > 0 of <p,p> = -1 in Minkowski
 3-space, by walking its boundary (translate along a side, turn a right
-angle) and measuring everything back.  This validates the cosine-law
-arithmetic and the solved metrics without sharing any code path with
-them.
+angle) and measuring everything back.  All hexagons are walked at once,
+as (n, 3) arrays, still sharing no code with the energy: of `hexgeom`
+only the cosine law is used, to get the y-sides to walk.  This
+validates the cosine-law arithmetic and the solved metrics.
 """
 
 from __future__ import annotations
@@ -19,38 +20,28 @@ from . import hexgeom
 from .solver import HyperbolicMetric
 from .surface import HexComplex
 
+# The point functions act on the last axis: one point has shape (3,),
+# a stack of them (..., 3).
 
-def minkowski_dot(p: np.ndarray, q: np.ndarray) -> float:
-    return float(-p[0] * q[0] + p[1] * q[1] + p[2] * q[2])
+
+def minkowski_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return -p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
 
 
 def normalize_point(p: np.ndarray) -> np.ndarray:
-    return p / math.sqrt(-minkowski_dot(p, p))
+    return p / np.sqrt(-minkowski_dot(p, p))[..., None]
 
 
-def distance(p: np.ndarray, q: np.ndarray) -> float:
+def _unit(v: np.ndarray) -> np.ndarray:
+    """A spacelike vector scaled to Minkowski norm 1."""
+    return v / np.sqrt(minkowski_dot(v, v))[..., None]
+
+
+def distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Chord form 2 asinh(|p - q| / 2): unlike arccosh(-<p,q>), it does
     not round distances below ~1e-8 to zero."""
     d = p - q
-    return 2.0 * math.asinh(0.5 * math.sqrt(max(minkowski_dot(d, d), 0.0)))
-
-
-def _translate(p: np.ndarray, u: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Move distance d along the geodesic with unit tangent u at p;
-    returns the new point and the transported tangent."""
-    ch, sh = math.cosh(d), math.sinh(d)
-    return ch * p + sh * u, sh * p + ch * u
-
-
-def _left_normal(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The unit spacelike vector completing (p, u) to an oriented
-    Lorentz frame; rotating u to it is a quarter turn at p."""
-    # diag(-1, 1, 1) applied to the cross product p x u, written out:
-    # np.cross costs more than the rest of the walk
-    v = np.array(
-        [p[2] * u[1] - p[1] * u[2], p[2] * u[0] - p[0] * u[2], p[0] * u[1] - p[1] * u[0]]
-    )
-    return v / math.sqrt(minkowski_dot(v, v))
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(minkowski_dot(d, d), 0.0)))
 
 
 @dataclass
@@ -61,58 +52,67 @@ class HexRealization:
     closure_residual: float  # distance between the two ends of the walk
 
 
-def _direction(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unit tangent at a along the geodesic toward b."""
-    u = b + minkowski_dot(a, b) * a
-    return u / math.sqrt(minkowski_dot(u, u))
+def realize_hexagons(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Construct the right-angled hexagons with x-side triples x, (n, 3).
+
+    Each hexagon's sides run in the cyclic order x1, y3, x2, y1, x3, y2
+    (so that y_i is opposite x_i), turning a quarter turn at every
+    corner.  Each walk starts at (1,0,0) half-way along its hexagon's
+    longest side and ends back there: coordinates grow like e^distance
+    from the start, and so does their rounding error.  Side lengths and
+    corner angles are then measured back from the vertices alone; the
+    distance between the walk's two ends is the construction residual.
+
+    Returns the vertices (n, 6, 3), reported from the start of side x1,
+    the measured side lengths (n, 6), and the angle and closure
+    residuals (n,).  A walk that rounding pushes off the hyperboloid
+    gives NaN, not a warning or an exception; x itself must lie in the
+    domain of `hexgeom.cosine_law_y`.
+    """
+    x = np.asarray(x, dtype=float)
+    y = hexgeom.cosine_law_y(x)
+    sides = np.stack([x[:, 0], y[:, 2], x[:, 1], y[:, 0], x[:, 2], y[:, 1]], axis=1)
+    k = np.argmax(sides, axis=1)
+    # side k + j for j = 0..6; the walk covers side k in two halves
+    steps = np.take_along_axis(sides, (k[:, None] + np.arange(7)) % 6, axis=1)
+    steps[:, [0, 6]] *= 0.5
+    with np.errstate(all="ignore"):
+        p = np.tile([1.0, 0.0, 0.0], (len(x), 1))
+        u = np.tile([0.0, 1.0, 0.0], (len(x), 1))
+        walk = [p]
+        for i in range(7):
+            # move along the geodesic with unit tangent u, carrying u along
+            ch, sh = np.cosh(steps[:, i, None]), np.sinh(steps[:, i, None])
+            p, u = normalize_point(ch * p + sh * u), sh * p + ch * u
+            walk.append(p)
+            if i < 6:  # a corner; the last step ends mid-side
+                # re-orthonormalize the frame to stop drift from
+                # accumulating, then turn a quarter turn: diag(-1, 1, 1)
+                # applied to p x u completes (p, u) to an oriented frame
+                u = _unit(u + minkowski_dot(p, u)[:, None] * p)
+                u = _unit(np.cross(p, u) * [-1.0, 1.0, 1.0])
+        walk = np.stack(walk, axis=1)
+        closure = distance(walk[:, 7], walk[:, 0])
+        # walk[1 + j] is the vertex that starts side k + 1 + j
+        order = 1 + (np.arange(6) - k[:, None] - 1) % 6
+        vertices = np.take_along_axis(walk, order[:, :, None], axis=1)
+        after, before = np.roll(vertices, -1, axis=1), np.roll(vertices, 1, axis=1)
+        measured = distance(vertices, after)
+        # unit tangents at each vertex toward its two neighbours
+        t_prev = _unit(before + minkowski_dot(vertices, before)[..., None] * vertices)
+        t_next = _unit(after + minkowski_dot(vertices, after)[..., None] * vertices)
+        angle = np.max(np.abs(minkowski_dot(t_prev, t_next)), axis=1)
+    return vertices, measured, angle, closure
 
 
 def realize_hexagon(x: tuple[float, float, float]) -> HexRealization:
-    """Construct the right-angled hexagon with x-side lengths x.
-
-    The sides run in the cyclic order x1, y3, x2, y1, x3, y2 (so that
-    y_i is opposite x_i), turning a quarter turn at every corner.  The
-    walk starts at (1,0,0) half-way along the longest side and ends back
-    there: coordinates grow like e^distance from the start, and so does
-    their rounding error.  Vertices are reported from the start of side
-    x1.  Side lengths and corner angles are then measured back from the
-    vertices alone; the distance between the walk's two ends is the
-    construction residual.
-    """
-    return _realize(x, hexgeom.cosine_law_y(x).tolist())
-
-
-def _realize(x, y) -> HexRealization:
-    """realize_hexagon with the y-sides y = cosine_law_y(x) given."""
-    sides = [x[0], y[2], x[1], y[0], x[2], y[1]]
-    k = max(range(6), key=sides.__getitem__)
-    steps = [0.5 * sides[k]] + [sides[(k + j) % 6] for j in range(1, 6)] + [0.5 * sides[k]]
-    p = np.array([1.0, 0.0, 0.0])
-    u = np.array([0.0, 1.0, 0.0])
-    walk = [p]
-    for i, d in enumerate(steps):
-        p, u_in = _translate(p, u, d)
-        # re-orthonormalize the frame to stop drift from accumulating
-        p = normalize_point(p)
-        walk.append(p)
-        if i < 6:  # a corner; the last step ends mid-side
-            u_in = u_in + minkowski_dot(p, u_in) * p
-            u_in = u_in / math.sqrt(minkowski_dot(u_in, u_in))
-            u = _left_normal(p, u_in)
-    closure = distance(walk[7], walk[0])
-    # walk[1 + j] is the vertex that starts side k + 1 + j
-    vertices = [walk[1 + (i - k - 1) % 6] for i in range(6)]
-    measured = [distance(vertices[i], vertices[(i + 1) % 6]) for i in range(6)]
-    angle_res = 0.0
-    for i in range(6):
-        t_prev = _direction(vertices[i], vertices[(i - 1) % 6])
-        t_next = _direction(vertices[i], vertices[(i + 1) % 6])
-        angle_res = max(angle_res, abs(minkowski_dot(t_prev, t_next)))
+    """The one hexagon of realize_hexagons with x-sides x."""
+    vertices, measured, angle, closure = realize_hexagons(np.reshape(x, (1, 3)))
     return HexRealization(
-        vertices=vertices,
-        side_lengths=measured,
-        angle_residual=angle_res,
-        closure_residual=closure,
+        vertices=list(vertices[0]),
+        side_lengths=measured[0].tolist(),
+        angle_residual=float(angle[0]),
+        closure_residual=float(closure[0]),
     )
 
 
@@ -156,33 +156,30 @@ class VerificationReport:
 
 
 def verify_metric(cx: HexComplex, metric: HyperbolicMetric, tol: float = 1e-8) -> VerificationReport:
-    """Hexagon-by-hexagon geometric audit of a solved metric.
+    """Geometric audit of a solved metric: all hexagons walked at once,
+    still sharing no code with the energy.
 
     Realizes every hexagon from its x-lengths, compares the measured
     y-sides against the metric's edge lengths on both sides of every
-    edge, and re-sums the boundary components.
+    edge, and re-sums the boundary components.  Never raises on a bad
+    metric: a residual that is not finite, or an x-triple outside the
+    domain (not positive and finite), fails its hexagon.
     """
     failures: list[str] = []
-    max_closure = 0.0
-    max_angle = 0.0
-    max_side = 0.0
-    hex_y_measured = []
-    hex_y = hexgeom.cosine_law_y(metric.hex_x).tolist()
-    for h in range(cx.n):
-        r = _realize(metric.hex_x[h], hex_y[h])
-        max_closure = max(max_closure, r.closure_residual)
-        max_angle = max(max_angle, r.angle_residual)
-        mx, my = measured_xy(r)
-        err = max(abs(a - b) for a, b in zip(mx, metric.hex_x[h]))
-        max_side = max(max_side, err)
-        hex_y_measured.append(my)
-        if r.closure_residual > tol or r.angle_residual > tol or err > tol:
-            failures.append(f"hexagon {h}: realization residual above {tol:g}")
-    # (m, 2): each edge's y-side as measured in the hexagon on either side
-    sides = np.ravel(hex_y_measured)[cx.edge_arcs]
+    hex_x = np.asarray(metric.hex_x, dtype=float).reshape(cx.n, 3)
+    valid = np.all((hex_x > 0.0) & np.isfinite(hex_x), axis=1, keepdims=True)
+    # walk (1, 1, 1) in place of a triple outside the domain: it fails the
+    # side check, as |1 - v| is NaN, inf or at least 1 there
+    _, measured, angle, closure = realize_hexagons(np.where(valid, hex_x, 1.0))
+    side_err = np.max(np.abs(measured[:, 0::2] - hex_x), axis=1)
+    for h in np.flatnonzero(~((closure <= tol) & (angle <= tol) & (side_err <= tol))):
+        failures.append(f"hexagon {h}: realization residual above {tol:g}")
+    # (m, 2): each edge's y-side as measured in the hexagon on either
+    # side; arc 3h + i is opposite y-side i of hexagon h
+    sides = measured[:, [3, 5, 1]].ravel()[cx.edge_arcs]
     err = np.abs(sides[:, 0] - sides[:, 1])
     mean_err = np.max(np.abs(sides - metric.edge_lengths[:, None]), axis=1)
-    max_edge = float(max(err.max(), mean_err.max()))
+    max_edge = float(np.maximum(err.max(), mean_err.max()))
     for e in np.flatnonzero(~((err <= tol) & (mean_err <= tol))):
         failures.append(f"edge {cx.labels[e]}: side lengths disagree by {err[e]:.3e}")
     totals = [metric.x_arcs[list(bc.arcs)].sum() for bc in cx.boundary_components()]
@@ -192,9 +189,9 @@ def verify_metric(cx: HexComplex, metric: HyperbolicMetric, tol: float = 1e-8) -
         failures.append(f"boundary {i}: length sum off by {boundary_err[i]:.3e}")
     return VerificationReport(
         ok=not failures,
-        max_closure_residual=max_closure,
-        max_angle_residual=max_angle,
-        max_side_error=max_side,
+        max_closure_residual=float(closure.max()),
+        max_angle_residual=float(angle.max()),
+        max_side_error=float(side_err.max()),
         max_edge_mismatch=max_edge,
         max_boundary_error=max_boundary,
         failures=failures,

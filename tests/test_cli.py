@@ -225,6 +225,16 @@ def test_numeric_range_errors_exit_input(pants_file, tmp_path, capsys, command, 
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_solve_failed_audit_exits_verify(pants_file, tmp_path, capsys):
+    # the solve succeeds (x = 20, y ~ 9e-5) but the audit's walk cannot
+    # resolve it: a verification failure, not an input error
+    z = write_coords(tmp_path, "z.json", {"e0": 20.0, "e1": 20.0, "e2": 20.0})
+    assert run(["solve", pants_file, "--z", z]) == cli.EXIT_VERIFY
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] and not doc["verified"]
+    assert doc["verification_failures"]
+
+
 def test_lp_failure_exits_no_convergence(pants_file, tmp_path, capsys, monkeypatch):
     from hexmetric import polytope
 

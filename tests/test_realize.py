@@ -13,8 +13,11 @@ from hexmetric.realize import (
     normalize_point,
     random_isometry,
     realize_hexagon,
+    realize_hexagons,
     verify_metric,
 )
+
+from conftest import seeded_complex
 
 RNG = np.random.default_rng(20240815)
 
@@ -130,3 +133,73 @@ def test_verify_metric_detects_corrupt_hexagon(four):
     metric.hex_x = [tuple(bad)] + metric.hex_x[1:]
     report = verify_metric(four, metric)
     assert not report.ok
+
+
+def test_stacked_walk_matches_single_hexagons():
+    # each of the six sides is the longest in some row, so every roll
+    # of the side ring and every vertex gather is exercised
+    rows = np.vstack(
+        [
+            [(3.0, 0.5, 0.5), (0.5, 3.0, 0.5), (0.5, 0.5, 3.0)],  # an x-side
+            [(0.1, 1.0, 1.0), (1.0, 0.1, 1.0), (1.0, 1.0, 0.1)],  # a y-side
+            np.exp(RNG.uniform(math.log(0.1), math.log(4.0), (60, 3))),
+        ]
+    )
+    vertices, measured, angle, closure = realize_hexagons(rows)
+    assert set(np.argmax(measured, axis=1)) == set(range(6))
+    for h, x in enumerate(rows):
+        r = realize_hexagon(tuple(x))
+        assert np.max(np.abs(vertices[h] - np.array(r.vertices))) <= 1e-12
+        assert np.max(np.abs(measured[h] - r.side_lengths)) <= 1e-12
+        assert abs(angle[h] - r.angle_residual) <= 1e-12
+        assert abs(closure[h] - r.closure_residual) <= 1e-12
+
+
+def test_verify_metric_at_scale():
+    cx = seeded_complex(512, 20241018)
+    lengths = np.random.default_rng(5).uniform(0.3, 3.0, cx.num_edges)
+    z, _, _ = solver.forward_map(cx, lengths)
+    t, _ = solver.maximize(cx, z)
+    metric = solver.extract_metric(cx, t)
+    assert verify_metric(cx, metric).ok
+    hex_x = np.array(metric.hex_x)
+    # an x-triple outside the domain fails its own hexagon only
+    h = 301
+    bad = hex_x.copy()
+    bad[h] = np.nan
+    metric.hex_x = list(map(tuple, bad))
+    report = verify_metric(cx, metric)
+    assert not report.ok
+    assert [f for f in report.failures if f.startswith("hexagon")] == [
+        f"hexagon {h}: realization residual above 1e-08"
+    ]
+    # a 3e-8 change to one x-side shows in the y-sides it determines
+    bad = hex_x.copy()
+    bad[77, 2] += 3e-8
+    metric.hex_x = list(map(tuple, bad))
+    assert not verify_metric(cx, metric).ok
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf])  # NaN: test_verify_metric_at_scale
+def test_verify_metric_reports_out_of_domain_hexagon(four, value):
+    lengths = RNG.uniform(0.5, 2.0, four.num_edges)
+    z, _, _ = solver.forward_map(four, lengths)
+    t, _ = solver.maximize(four, z)
+    metric = solver.extract_metric(four, t)
+    metric.hex_x = [metric.hex_x[0], (1.0, value, 1.0)] + metric.hex_x[2:]
+    report = verify_metric(four, metric)
+    assert not report.ok
+    assert "hexagon 1: realization residual above 1e-08" in report.failures
+    assert not any(f.startswith(("hexagon 0", "hexagon 2", "hexagon 3")) for f in report.failures)
+
+
+def test_verify_metric_reports_walk_off_the_hyperboloid(pants):
+    # x = 20 gives y ~ 9e-5: the walk's coordinates reach ~e^20 and the
+    # re-orthonormalization meets a negative square; the audit must say
+    # so in its report rather than raise
+    t, _ = solver.maximize(pants, np.full(3, 20.0))
+    metric = solver.extract_metric(pants, t)
+    assert np.allclose(metric.hex_x, 20.0)
+    report = verify_metric(pants, metric)
+    assert not report.ok
+    assert "hexagon 0: realization residual above 1e-08" in report.failures
