@@ -113,9 +113,7 @@ def cmd_feasible(args) -> int:
 def cmd_solve(args) -> int:
     cx = _load_complex(args.file)
     z = _load_edge_values(args.z, cx)
-    cfg = solver.SolveConfig(
-        grad_tol=args.tol, consistency_tol=args.tol, max_iter=args.max_iter
-    )
+    cfg = solver.SolveConfig(tol=args.tol, max_iter=args.max_iter)
     try:
         t_star, rep = solver.maximize(cx, z, cfg)
         metric = solver.extract_metric(cx, t_star, cfg)

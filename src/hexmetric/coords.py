@@ -25,12 +25,6 @@ def _as_arc_array(cx: HexComplex, values: np.ndarray | list[float]) -> np.ndarra
     return arr
 
 
-def edge_maps(cx: HexComplex) -> tuple[np.ndarray, np.ndarray]:
-    """Per arc, the edge it faces and the sign of its side: +1 for side 0,
-    -1 for side 1 (see slice_point)."""
-    return cx.arc_edge, cx.arc_sign
-
-
 def slice_point(cx: HexComplex, z: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The t-coordinate on the slice with invariant z whose free
     coordinates are s: the facing pair of edge e is z[e]/2 + s[e] and

@@ -15,7 +15,7 @@ matrix with three nonzeros per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class PolytopeReport:
     boundary_values: np.ndarray
     certificate: np.ndarray | None = None  # cone direction with z.y <= tol
     witness: np.ndarray | None = None  # interior length structure
-    violating_cycles: list = field(default_factory=list)
 
     def to_json_dict(self, cx: HexComplex) -> dict:
         d = {

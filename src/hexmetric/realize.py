@@ -166,7 +166,7 @@ def verify_metric(cx: HexComplex, metric: HyperbolicMetric, tol: float = 1e-8) -
     domain (not positive and finite), fails its hexagon.
     """
     failures: list[str] = []
-    hex_x = np.asarray(metric.hex_x, dtype=float).reshape(cx.n, 3)
+    hex_x = np.reshape(metric.x_arcs, (cx.n, 3))
     valid = np.all((hex_x > 0.0) & np.isfinite(hex_x), axis=1, keepdims=True)
     # walk (1, 1, 1) in place of a triple outside the domain: it fails the
     # side check, as |1 - v| is NaN, inf or at least 1 there

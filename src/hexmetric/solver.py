@@ -27,19 +27,25 @@ from .surface import HexComplex
 
 @dataclass
 class SolveConfig:
-    grad_tol: float = 1e-10
-    consistency_tol: float = 1e-10
+    """Stopping rule: converged when both the reduced gradient and the
+    per-edge length mismatch are below `tol`; at most `max_iter` Newton
+    steps."""
+
+    tol: float = 1e-10
     max_iter: int = 100
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    margin_floor: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtracking factor must lie in (0,1)")
-        for name in ("grad_tol", "consistency_tol", "armijo", "margin_floor"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+
+
+# line search: step shrink factor, Armijo sufficient-increase constant,
+# and the smallest domain margin a trial point may have
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
+_MARGIN_FLOOR = 1e-12
 
 
 @dataclass
@@ -59,9 +65,7 @@ class HyperbolicMetric:
 
     edge_lengths: np.ndarray  # mean of the two hexagon-side values
     mismatch: float  # max over edges of the two-side disagreement
-    x_arcs: np.ndarray
-    hex_x: list[tuple[float, float, float]]  # per hexagon, arc order
-    hex_y: list[tuple[float, float, float]]
+    x_arcs: np.ndarray  # arc 3h + i; reshaped to (n, 3), one row per hexagon
     boundary_lengths: np.ndarray
     z: np.ndarray
 
@@ -149,7 +153,7 @@ def maximize(
             raise SolveError("start point does not satisfy the slice equalities")
     s = _s_of_t(cx, t)
     t = coords.slice_point(cx, z, s)
-    if domain_margin(cx, t) <= cfg.margin_floor:
+    if domain_margin(cx, t) <= _MARGIN_FLOOR:
         raise SolveError("starting point is not interior")
     val = energy(cx, t)
     report = None
@@ -158,7 +162,7 @@ def maximize(
         sides = edge_side_lengths(cx, t)
         mismatch = float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
         grad_norm = float(np.max(np.abs(g_s)))
-        if grad_norm < cfg.grad_tol and mismatch < cfg.consistency_tol:
+        if grad_norm < cfg.tol and mismatch < cfg.tol:
             report = SolveReport(
                 iterations=it - 1,
                 grad_norm=grad_norm,
@@ -186,16 +190,16 @@ def maximize(
                 )
             s_try = s + alpha * step
             t_try = coords.slice_point(cx, z, s_try)
-            if domain_margin(cx, t_try) <= cfg.margin_floor:
-                alpha *= cfg.backtrack
+            if domain_margin(cx, t_try) <= _MARGIN_FLOOR:
+                alpha *= _BACKTRACK
                 continue
             val_try = energy(cx, t_try)
             # absolute floor: near the maximizer the predicted increase
             # drops below the rounding noise of the energy itself
             noise = 1e-15 * (1.0 + abs(val))
-            if val_try >= val + cfg.armijo * alpha * slope - noise:
+            if val_try >= val + _ARMIJO * alpha * slope - noise:
                 break
-            alpha *= cfg.backtrack
+            alpha *= _BACKTRACK
         # concave ascent: the accepted energy never decreases
         if val_try < val - 1e-12 * (1.0 + abs(val)):
             raise SolveError("energy decreased on an accepted step")
@@ -215,20 +219,15 @@ def extract_metric(cx: HexComplex, t: np.ndarray, cfg: SolveConfig | None = None
     x = coords.x_of(cx, t)
     sides = edge_side_lengths(cx, t)
     mismatch = float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
-    if mismatch > cfg.consistency_tol:
+    if mismatch > cfg.tol:
         raise SolveError(
             f"per-edge length mismatch {mismatch:.3e} exceeds tolerance "
-            f"{cfg.consistency_tol:.3e}; maximizer not converged"
+            f"{cfg.tol:.3e}; maximizer not converged"
         )
-    xs = x.reshape(cx.n, 3)
-    hex_x = list(map(tuple, xs.tolist()))
-    hex_y = list(map(tuple, hexgeom.cosine_law_y(xs).tolist()))
     return HyperbolicMetric(
         edge_lengths=sides.mean(axis=1),
         mismatch=mismatch,
         x_arcs=x,
-        hex_x=hex_x,
-        hex_y=hex_y,
         boundary_lengths=coords.boundary_lengths(cx, x),
         z=coords.e_invariant(cx, x),
     )

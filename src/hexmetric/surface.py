@@ -8,22 +8,20 @@ Gluing a pair of y-slots identifies their endpoints: with
 natural identification of two hexagons facing each other), with
 ``reversed=True`` start-to-end.
 
-Derived structure: one edge per glued pair, one x-arc per x-slot,
-boundary components traced through the identified corners, and the
-embedded-normal-curve edge cycles used by the feasibility polytope.
+A complex is compiled once into read-only incidence arrays (see
+HexComplex); boundary tracing and the normal-curve edge cycles used by
+the feasibility polytope are walks over partner arrays derived from
+them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 Slot = tuple[int, int]  # (hexagon index, position 0..5)
 
-Y_POSITIONS = (1, 3, 5)
-X_POSITIONS = (0, 2, 4)
 # offset within its hexagon of the x-arc opposite the y-slot at 2k + 1
 OPPOSITE_ARC = (2, 0, 1)
 
@@ -32,33 +30,26 @@ class InvalidComplexError(ValueError):
     """Gluing description does not define a valid complex."""
 
 
-def opposite_position(p: int) -> int:
-    return (p + 3) % 6
-
-
 @dataclass(frozen=True)
 class BoundaryCycle:
     """One boundary circle: its x-arcs in cyclic order and the induced
-    boundary edge cycle (edge between consecutive arcs)."""
+    boundary edge cycle, ``edges[i]`` lying between arcs[i] and
+    arcs[i+1]."""
 
     arcs: tuple[int, ...]
     edges: tuple[int, ...]
-    # step i joins edges[i] and edges[i+1]; steps[i] = (hexagon, y-pos, y-pos)
-    steps: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
 class EdgeCycle:
     """Closed edge cycle realized by a normal curve.
 
-    ``edges[i]`` is crossed between steps i-1 and i; ``steps[i]`` is the
-    corner arc (hexagon, y-position entered, y-position left) joining
-    edges[i] and edges[i+1].  ``corner_arcs[i]`` is the x-arc cut off by
-    that corner, the arc adjacent to both edges of the step.
+    The curve crosses ``edges[i]`` and then runs through one corner of a
+    hexagon to ``edges[i+1]``; ``corner_arcs[i]`` is the x-arc that
+    corner cuts off, the arc adjacent to both edges.
     """
 
     edges: tuple[int, ...]
-    steps: tuple[tuple[int, int, int], ...]
     corner_arcs: tuple[int, ...]
 
     def multiplicities(self, num_edges: int) -> tuple[int, ...]:
@@ -86,7 +77,8 @@ class HexComplex:
     """Immutable (after construction) hexagon complex.
 
     The x-arc at position 2i of hexagon h has index 3h + i, so an array
-    over arcs reshaped to (n, 3) is an array over hexagons.  The other
+    over arcs reshaped to (n, 3) is an array over hexagons; the y-slot at
+    position 2k + 1 is numbered 3h + k in the same way.  The other
     incidences are built once, as read-only arrays:
 
     * ``hex_edges[h, k]``: the edge glued at y-slot (h, 2k + 1);
@@ -106,27 +98,24 @@ class HexComplex:
     def __post_init__(self) -> None:
         if self.n <= 0 or self.n % 2 != 0:
             raise InvalidComplexError(f"hexagon count must be positive even, got {self.n}")
-        if len(self.gluings) != 3 * self.n // 2:
+        m = 3 * self.n // 2
+        if len(self.gluings) != m:
+            raise InvalidComplexError(f"expected {m} gluing pairs, got {len(self.gluings)}")
+        # slots[e, side] = (hexagon, position) of the glued y-slot; with
+        # 3n/2 pairs and no slot repeated, every y-slot is glued
+        slots = np.array([(a, b) for a, b, _ in self.gluings], dtype=np.intp).reshape(m, 2, 2)
+        hexagon, q = slots[..., 0], slots[..., 1]
+        bad = (hexagon < 0) | (hexagon >= self.n) | (q < 0) | (q >= 6) | (q % 2 == 0)
+        if bad.any():
+            e, side = np.argwhere(bad)[0]
             raise InvalidComplexError(
-                f"expected {3 * self.n // 2} gluing pairs, got {len(self.gluings)}"
+                f"slot {self.gluings[e][side]} is not a y-slot of hexagons 0..{self.n - 1}"
             )
-        self._edge_of_yslot: dict[Slot, int] = {}
-        for e, (a, b, rev) in enumerate(self.gluings):
-            for s in (a, b):
-                h, p = s
-                if not (0 <= h < self.n):
-                    raise InvalidComplexError(f"hexagon index out of range in slot {s}")
-                if p % 2 == 0:
-                    raise InvalidComplexError(f"x-slot {s} cannot appear in a gluing")
-                if not (0 <= p < 6):
-                    raise InvalidComplexError(f"slot position out of range in slot {s}")
-                if s in self._edge_of_yslot:
-                    raise InvalidComplexError(f"y-slot {s} glued twice")
-                self._edge_of_yslot[s] = e
-            if a == b:
-                raise InvalidComplexError(f"slot {a} glued to itself")
-        if len(self._edge_of_yslot) != 3 * self.n:
-            raise InvalidComplexError("some y-slot left unglued")
+        slot_id = (6 * hexagon + q).ravel()
+        repeated = np.bincount(slot_id, minlength=6 * self.n)[slot_id] > 1
+        if repeated.any():
+            e, side = divmod(int(np.argmax(repeated)), 2)
+            raise InvalidComplexError(f"y-slot {self.gluings[e][side]} glued twice")
         if not self.labels:
             self.labels = [f"e{i}" for i in range(self.num_edges)]
         elif len(self.labels) != self.num_edges:
@@ -134,13 +123,10 @@ class HexComplex:
         elif len(set(self.labels)) != self.num_edges:
             raise InvalidComplexError("duplicate edge labels")
         self._check_connected()
-        self._build_incidence()
+        self._build_incidence(hexagon, q)
 
-    def _build_incidence(self) -> None:
+    def _build_incidence(self, hexagon: np.ndarray, q: np.ndarray) -> None:
         n, m = self.n, self.num_edges
-        # slots[e, side] = (hexagon, position) of the glued y-slot
-        slots = np.array([(a, b) for a, b, _ in self.gluings], dtype=np.intp)
-        hexagon, q = slots[..., 0], slots[..., 1]
         edge = np.arange(m)[:, None]
         self.hex_edges = np.empty((n, 3), dtype=np.intp)
         self.hex_edges[hexagon, q // 2] = edge
@@ -149,11 +135,16 @@ class HexComplex:
         self.arc_edge[self.edge_arcs] = edge
         self.arc_sign = np.empty(3 * n)
         self.arc_sign[self.edge_arcs] = (1.0, -1.0)
+        # y-slot 3h + k is glued to y-slot _slot_mate[3h + k]
+        yslot = 3 * hexagon + q // 2
+        self._slot_mate = np.empty(3 * n, dtype=np.intp)
+        self._slot_mate[yslot] = yslot[:, ::-1]
+        self._reversed = np.array([r for _, _, r in self.gluings], dtype=bool)
 
         # Corners: vertex 6h + p starts side p of hexagon h, so seam q
         # runs from vertex 6h + q to 6h + q + 1.  A gluing identifies the
         # ends of its two seams, start-to-start unless reversed.
-        rev = np.array([r for _, _, r in self.gluings], dtype=bool)
+        rev = self._reversed
         first = 6 * hexagon + q
         last = 6 * hexagon + (q + 1) % 6
         partner = np.empty(6 * n, dtype=np.intp)
@@ -163,31 +154,21 @@ class HexComplex:
         ):
             partner[mine] = theirs
             partner[theirs] = mine
-        # vertex v ends x-arc v // 2 and the seam at position y_pos[v]
-        pos = np.arange(6 * n) % 6
-        y_pos = np.where(pos % 2 == 1, pos, (pos - 1) % 6)
-        seam_edge = self.hex_edges[np.arange(6 * n) // 6, y_pos // 2]
+        # vertex 6h + p is an end of x-arc 3h + p // 2 and of the seam at
+        # position p if p is odd, (p - 1) mod 6 if even
+        seam_edge = self.hex_edges[:, [2, 0, 0, 1, 1, 2]].ravel()
         walks = self._boundary_walks(partner)
-        self._boundary = []
-        for v in walks:
-            p = partner[v]
-            # edges[i] sits between arcs[i] and arcs[i+1]; steps[i] is the
-            # corner containing arcs[i+1], joining edges[i] and edges[i+1]
-            steps = zip((p // 6).tolist(), y_pos[p].tolist(), y_pos[p ^ 1].tolist())
-            self._boundary.append(
-                BoundaryCycle(
-                    arcs=tuple((v // 2).tolist()),
-                    edges=tuple(seam_edge[v].tolist()),
-                    steps=tuple(steps),
-                )
-            )
+        self._boundary = [
+            BoundaryCycle(arcs=tuple((v // 2).tolist()), edges=tuple(seam_edge[v].tolist()))
+            for v in walks
+        ]
         v = np.concatenate(walks)
         self.arc_boundary = np.empty(3 * n, dtype=np.intp)
         self.arc_boundary[v // 2] = np.repeat(np.arange(len(walks)), [len(w) for w in walks])
         self.arc_boundary_edge = np.empty(3 * n, dtype=np.intp)
         self.arc_boundary_edge[v // 2] = seam_edge[v]
         for a in (self.hex_edges, self.edge_arcs, self.arc_edge, self.arc_sign,
-                  self.arc_boundary, self.arc_boundary_edge):
+                  self._slot_mate, self._reversed, self.arc_boundary, self.arc_boundary_edge):
             a.flags.writeable = False
 
     def _boundary_walks(self, partner: np.ndarray) -> list[np.ndarray]:
@@ -240,10 +221,6 @@ class HexComplex:
     def arcs_of_hexagon(self, h: int) -> tuple[int, int, int]:
         return (3 * h, 3 * h + 1, 3 * h + 2)
 
-    def edge_slots(self, e: int) -> tuple[Slot, Slot]:
-        a, b, _ = self.gluings[e]
-        return a, b
-
     def edges_of_hexagon(self, h: int) -> tuple[int, int, int]:
         """Edges at y-positions 1, 3, 5 (with repetition if self-glued)."""
         return tuple(self.hex_edges[h].tolist())
@@ -251,25 +228,12 @@ class HexComplex:
     def label_index(self, label: str) -> int:
         return self.labels.index(label)
 
-    # -- facing / adjacency -------------------------------------------
+    # -- facing ---------------------------------------------------------
 
     def facing_arcs(self, e: int) -> tuple[int, int]:
         """The two x-arcs opposite the glued y-slots of edge e; always
         distinct slots, even for a self-glued hexagon."""
         return tuple(self.edge_arcs[e].tolist())
-
-    def arc_to_edge(self, arc: int) -> tuple[int, int]:
-        """Inverse of facing_arcs: the (edge, side) pair an x-arc faces."""
-        return int(self.arc_edge[arc]), 0 if self.arc_sign[arc] > 0.0 else 1
-
-    def adjacent_arcs(self, e: int) -> list[int]:
-        """The four x-arcs at positions +-1 of the glued y-slots, with
-        multiplicity."""
-        out = []
-        for h, q in self.edge_slots(e):
-            out.append(self.arc_index((h, (q - 1) % 6)))
-            out.append(self.arc_index((h, (q + 1) % 6)))
-        return out
 
     # -- boundary ------------------------------------------------------
 
@@ -278,12 +242,8 @@ class HexComplex:
 
     def boundary_edge_cycles(self) -> list[EdgeCycle]:
         """Boundary components as edge cycles (always fundamental)."""
-        out = []
-        for bc in self._boundary:
-            k = len(bc.edges)
-            corner_arcs = tuple(bc.arcs[(i + 1) % k] for i in range(k))
-            out.append(EdgeCycle(edges=bc.edges, steps=bc.steps, corner_arcs=corner_arcs))
-        return out
+        return [EdgeCycle(edges=bc.edges, corner_arcs=bc.arcs[1:] + bc.arcs[:1])
+                for bc in self._boundary]
 
     def _check_connected(self) -> None:
         adj: dict[int, set[int]] = {h: set() for h in range(self.n)}
@@ -303,86 +263,66 @@ class HexComplex:
 
     # -- normal-curve edge cycles ---------------------------------------
 
-    def _resolve_weights(self, w: tuple[int, ...]) -> list[EdgeCycle] | None:
+    def _corner_counts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Crossing and corner counts of weight vectors w of shape (..., m).
+
+        ``cross[..., h, k]`` is the weight at y-slot (h, 2k + 1) and
+        ``corner[..., h, k]`` the number of arcs in the corner between
+        y-slots k and k + 1 of hexagon h, half of
+        cross(k) + cross(k + 1) - cross(k + 2).  ``ok`` marks the w whose
+        corner counts are all nonnegative integers.
+        """
+        cross = w[..., self.hex_edges]
+        twice = cross + cross[..., [1, 2, 0]] - cross[..., [2, 0, 1]]
+        ok = np.all((twice >= 0) & (twice % 2 == 0), axis=(-2, -1))
+        return cross, twice // 2, ok
+
+    def _resolve_weights(self, w) -> list[EdgeCycle] | None:
         """Canonical embedded multicurve with edge crossing counts w.
 
         Returns None when w is not realizable (a corner count would be
         negative or fractional); otherwise the list of components as
-        edge cycles.
+        edge cycles, each traced from its lowest crossing point.
+
+        Crossing points are numbered slot by slot, y-slot 3h + k first,
+        each slot's points by position j counted from the slot's
+        counterclockwise start vertex.  Two partner arrays join them.
+        Within hexagon h, the first corner(k-1, k) points of slot k bend
+        back to position cross(k-1) - 1 - j of slot k - 1, cutting off
+        x-arc 3h + k; the rest go on to position cross(k) - 1 - j of
+        slot k + 1, cutting off x-arc 3h + (k + 1) % 3.  Across the
+        edge, a point meets the same position of the glued slot, or its
+        mirror when the gluing is reversed.  A component is a cycle of
+        the two partner maps composed.
         """
-        # corner counts per hexagon: corner (q, q+2) between y-slots
-        corner: dict[tuple[int, int], int] = {}
-        for h in range(self.n):
-            wq = {q: w[self._edge_of_yslot[(h, q)]] for q in Y_POSITIONS}
-            for q in Y_POSITIONS:
-                q2 = (q + 2) % 6
-                q4 = (q + 4) % 6
-                twice = wq[q] + wq[q2] - wq[q4]
-                if twice < 0 or twice % 2 != 0:
-                    return None
-                corner[(h, q)] = twice // 2
-        # crossing points: (yslot, position ordered from the slot's ccw
-        # start vertex).  Connect them within hexagons (corner arcs) and
-        # across edges (the gluing identification).
-        def corner_partner(slot: Slot, pos: int) -> tuple[Slot, int, tuple[int, int, int]]:
-            h, q = slot
-            q_prev = (q - 2) % 6
-            a_prev = corner[(h, q_prev)]  # corner (q-2, q)
-            a_next = corner[(h, q)]       # corner (q, q+2)
-            if pos < a_prev:
-                # j-th innermost arc of corner (q-2, q): here at position
-                # j counted from vertex q, i.e. pos = j
-                j = pos
-                other = (h, q_prev)
-                wq = corner[(h, (q_prev - 2) % 6)] + a_prev
-                return other, wq - 1 - j, (h, q, q_prev)
-            j = a_prev + a_next - 1 - pos
-            other = (h, (q + 2) % 6)
-            return other, j, (h, q, (q + 2) % 6)
-
-        def cross_partner(slot: Slot, pos: int) -> tuple[Slot, int, int]:
-            e = self._edge_of_yslot[slot]
-            a, b, rev = self.gluings[e]
-            other = b if slot == a else a
-            we = w[e]
-            return other, (we - 1 - pos) if rev else pos, e
-
-        visited: set[tuple[Slot, int]] = set()
-        components: list[EdgeCycle] = []
-        for h in range(self.n):
-            for q in Y_POSITIONS:
-                slot = (h, q)
-                for pos in range(w[self._edge_of_yslot[slot]]):
-                    if (slot, pos) in visited:
-                        continue
-                    edges: list[int] = []
-                    steps: list[tuple[int, int, int]] = []
-                    corner_arcs: list[int] = []
-                    cur = (slot, pos)
-                    while cur not in visited:
-                        visited.add(cur)
-                        nxt_slot, nxt_pos, step = corner_partner(*cur)
-                        sh, q_in, q_out = step
-                        steps.append(step)
-                        # the x-slot between y-slots q_in and q_out is the
-                        # even position strictly between them
-                        mid = (q_in + 1) % 6 if (q_in + 2) % 6 == q_out else (q_out + 1) % 6
-                        corner_arcs.append(self.arc_index((sh, mid)))
-                        visited.add((nxt_slot, nxt_pos))
-                        cslot, cpos, e = cross_partner(nxt_slot, nxt_pos)
-                        edges.append(e)
-                        cur = (cslot, cpos)
-                    # edges[i] is crossed after steps[i]; rotate so that
-                    # steps[i] joins edges[i] and edges[i+1]
-                    k = len(edges)
-                    edges_rot = tuple(edges[(i - 1) % k] for i in range(k))
-                    components.append(
-                        EdgeCycle(
-                            edges=edges_rot,
-                            steps=tuple(steps),
-                            corner_arcs=tuple(corner_arcs),
-                        )
-                    )
+        cross, corner, ok = self._corner_counts(np.asarray(w, dtype=np.intp))
+        if not ok:
+            return None
+        c = cross.ravel()
+        start = np.cumsum(c) - c  # first point of each y-slot
+        slot = np.repeat(np.arange(3 * self.n), c)
+        pos = np.arange(len(slot)) - start[slot]
+        prev = slot - slot % 3 + (slot + 2) % 3
+        succ = slot - slot % 3 + (slot + 1) % 3
+        back = pos < corner.ravel()[prev]  # corner (k-1, k) holds the first points
+        inner = np.where(back, start[prev] + c[prev], start[succ] + c[slot]) - 1 - pos
+        edge = self.hex_edges.ravel()[slot]
+        outer = start[self._slot_mate[slot]] + np.where(self._reversed[edge], c[slot] - 1 - pos, pos)
+        cut = np.where(back, slot, succ)
+        inner, outer, edge, cut = (a.tolist() for a in (inner, outer, edge, cut))
+        seen = bytearray(len(inner))
+        components = []
+        for first in range(len(inner)):
+            if seen[first]:
+                continue
+            edges, corner_arcs = [], []
+            p = first
+            while not seen[p]:
+                seen[p] = seen[inner[p]] = 1
+                edges.append(edge[p])
+                corner_arcs.append(cut[p])
+                p = outer[inner[p]]
+            components.append(EdgeCycle(edges=tuple(edges), corner_arcs=tuple(corner_arcs)))
         return components
 
     def enumerate_fundamental_cycles(self, limit: int = 200) -> CycleEnumeration:
@@ -395,13 +335,14 @@ class HexComplex:
             raise ValueError(
                 "cycle enumeration is exponential; use the LP feasibility test"
             )
+        # every nonzero w in {0, 1, 2}^m, in lexicographic order; int8
+        # keeps the corner counts of all 3^m at once small
+        weights = np.indices((3,) * m, dtype=np.int8).reshape(m, -1).T[1:]
         cycles: list[EdgeCycle] = []
         truncated = False
-        for w in itertools.product((0, 1, 2), repeat=m):
-            if not any(w):
-                continue
+        for w in weights[self._corner_counts(weights)[2]]:
             comps = self._resolve_weights(w)
-            if comps is None or len(comps) != 1:
+            if len(comps) != 1:
                 continue
             if len(cycles) >= limit:
                 truncated = True

@@ -217,11 +217,12 @@ def test_integer_edge_keys_accepted(pants_file, tmp_path, capsys):
         ("forward", "--lengths", 800.0),  # OverflowError in the cosine law
         ("solve", "--z", 400.0),  # hexgeom.DomainError in the energy
         ("solve", "--z", 50.0),  # ZeroDivisionError in the Hessian
+        ("solve --max-iter 0", "--z", 1.0),  # ValueError from SolveConfig
     ],
 )
 def test_numeric_range_errors_exit_input(pants_file, tmp_path, capsys, command, key, value):
     values = write_coords(tmp_path, "v.json", {"e0": value, "e1": value, "e2": value})
-    assert run([command, pants_file, key, values]) == cli.EXIT_INPUT
+    assert run([*command.split(), pants_file, key, values]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
 
 

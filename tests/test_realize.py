@@ -128,9 +128,7 @@ def test_verify_metric_detects_corrupt_hexagon(four):
     z, _, _ = solver.forward_map(four, lengths)
     t, _ = solver.maximize(four, z)
     metric = solver.extract_metric(four, t)
-    bad = list(metric.hex_x[0])
-    bad[1] += 1e-3
-    metric.hex_x = [tuple(bad)] + metric.hex_x[1:]
+    metric.x_arcs[1] += 1e-3  # hexagon 0, column 1
     report = verify_metric(four, metric)
     assert not report.ok
 
@@ -162,12 +160,12 @@ def test_verify_metric_at_scale():
     t, _ = solver.maximize(cx, z)
     metric = solver.extract_metric(cx, t)
     assert verify_metric(cx, metric).ok
-    hex_x = np.array(metric.hex_x)
+    hex_x = metric.x_arcs.reshape(cx.n, 3).copy()
     # an x-triple outside the domain fails its own hexagon only
     h = 301
     bad = hex_x.copy()
     bad[h] = np.nan
-    metric.hex_x = list(map(tuple, bad))
+    metric.x_arcs = bad.ravel()
     report = verify_metric(cx, metric)
     assert not report.ok
     assert [f for f in report.failures if f.startswith("hexagon")] == [
@@ -176,7 +174,7 @@ def test_verify_metric_at_scale():
     # a 3e-8 change to one x-side shows in the y-sides it determines
     bad = hex_x.copy()
     bad[77, 2] += 3e-8
-    metric.hex_x = list(map(tuple, bad))
+    metric.x_arcs = bad.ravel()
     assert not verify_metric(cx, metric).ok
 
 
@@ -186,7 +184,7 @@ def test_verify_metric_reports_out_of_domain_hexagon(four, value):
     z, _, _ = solver.forward_map(four, lengths)
     t, _ = solver.maximize(four, z)
     metric = solver.extract_metric(four, t)
-    metric.hex_x = [metric.hex_x[0], (1.0, value, 1.0)] + metric.hex_x[2:]
+    metric.x_arcs[3:6] = (1.0, value, 1.0)  # hexagon 1
     report = verify_metric(four, metric)
     assert not report.ok
     assert "hexagon 1: realization residual above 1e-08" in report.failures
@@ -199,7 +197,7 @@ def test_verify_metric_reports_walk_off_the_hyperboloid(pants):
     # so in its report rather than raise
     t, _ = solver.maximize(pants, np.full(3, 20.0))
     metric = solver.extract_metric(pants, t)
-    assert np.allclose(metric.hex_x, 20.0)
+    assert np.allclose(metric.x_arcs, 20.0)
     report = verify_metric(pants, metric)
     assert not report.ok
     assert "hexagon 0: realization residual above 1e-08" in report.failures

@@ -1,12 +1,13 @@
 """Hexagon complex combinatorics: counts, boundary, cycle enumeration."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from hexmetric.surface import HexComplex, InvalidComplexError, build, opposite_position
+from hexmetric.surface import HexComplex, InvalidComplexError, build
 
-
-def test_opposite_position():
-    assert [opposite_position(p) for p in range(6)] == [3, 4, 5, 0, 1, 2]
+from conftest import seeded_complex
 
 
 def test_pants_counts(pants):
@@ -44,15 +45,6 @@ def test_pants_boundary_edge_cycles(pants):
 def test_facing_and_adjacent_arcs(pants):
     # edge 0 glues (0,1)-(1,1); facing arcs are opposite x-slots (0,4),(1,4)
     assert set(pants.facing_arcs(0)) == {pants.arc_index((0, 4)), pants.arc_index((1, 4))}
-    adj = pants.adjacent_arcs(0)
-    assert sorted(adj) == sorted(
-        [
-            pants.arc_index((0, 0)),
-            pants.arc_index((0, 2)),
-            pants.arc_index((1, 0)),
-            pants.arc_index((1, 2)),
-        ]
-    )
 
 
 def test_arc_indexing_round_trip(four):
@@ -63,7 +55,7 @@ def test_arc_indexing_round_trip(four):
 def test_arc_to_edge_inverts_facing(four):
     for e in range(four.num_edges):
         for side, arc in enumerate(four.facing_arcs(e)):
-            assert four.arc_to_edge(arc) == (e, side)
+            assert (four.arc_edge[arc], four.arc_sign[arc]) == (e, (1.0, -1.0)[side])
 
 
 def test_enumeration_pants_exactly_three(pants):
@@ -87,7 +79,28 @@ def test_enumeration_contains_boundary(torus, four):
 def test_enumeration_cycles_are_fundamental(four):
     for cyc in four.enumerate_fundamental_cycles().cycles:
         assert cyc.fundamental
-        assert len(cyc.corner_arcs) == len(cyc.edges) == len(cyc.steps)
+        assert len(cyc.corner_arcs) == len(cyc.edges)
+
+
+# Per complex, the enumerated cycles (edges, corner_arcs) and the boundary
+# components (arcs, edges), recorded from a per-slot dictionary
+# implementation of the normal-curve resolver; the array resolver must
+# reproduce them exactly, in order.
+CYCLES_PIN = json.loads((Path(__file__).parent / "data" / "cycles_pin.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CYCLES_PIN))
+def test_enumeration_pinned(name, all_fixtures):
+    if name in all_fixtures:
+        cx = all_fixtures[name]
+    else:
+        _, n, seed = name.split("-")  # "seeded-<n>-<seed>"
+        cx = seeded_complex(int(n), int(seed))
+    enum = cx.enumerate_fundamental_cycles(limit=10**6)
+    assert not enum.truncated
+    assert [[list(c.edges), list(c.corner_arcs)] for c in enum.cycles] == CYCLES_PIN[name]["cycles"]
+    boundary = [[list(b.arcs), list(b.edges)] for b in cx.boundary_components()]
+    assert boundary == CYCLES_PIN[name]["boundary"]
 
 
 def test_enumeration_truncation(four):
@@ -119,6 +132,13 @@ def test_validation_errors():
                 ((0, 5), (1, 5), False),
             ],
         )
+    for a, b in [
+        ((2, 1), (1, 1)),  # hexagon index out of range
+        ((0, 7), (1, 1)),  # position out of range
+        ((0, 1), (0, 1)),  # slot glued to itself
+    ]:
+        with pytest.raises(InvalidComplexError):
+            HexComplex(n=2, gluings=[(a, b, False), ((0, 3), (1, 3), False), ((0, 5), (1, 5), False)])
     with pytest.raises(InvalidComplexError):
         # two disjoint pants pieces: disconnected
         HexComplex(
