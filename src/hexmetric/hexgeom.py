@@ -12,10 +12,19 @@ the three x-lengths (or of the half-difference coordinates t_i), namely:
 The t-domain is the open cone H3 = {t in R^3 : t_i + t_j > 0 for i != j};
 x_i = t_j + t_k maps it onto the positive octant of x-space.
 
+With T = sum t and x_k = t_i + t_j, theta's gradient and Hessian are sums
+of one-signed terms, which neither cancel nor overflow at any float t:
+
+    d(theta)/dt_i = max(-t_i, 0) + (c(T) + c(t_i) + d(x_j) + d(x_k)) / 2,
+    H = -[p(T) 11^T + diag p(t) + sum_k q(x_k) (e_i + e_j)(e_i + e_j)^T],
+    c(u) = ln(1 + e^{-2|u|}),  d(x) = -ln(1 - e^{-2x}),
+    p(u) = 1/(e^{2u} + 1),     q(x) = e^{-2x}/(1 - e^{-2x}).
+
 The triple functions also take a stack of triples, shape (..., 3), and
 work along the last axis, so a whole complex is evaluated in one call.
-Inputs outside the domain raise DomainError; an overflow or a division
-by zero raises FloatingPointError rather than return inf or NaN.
+Inputs outside the domain (non-finite t included) raise DomainError, as
+does a gradient or Hessian row that underflows to 0; an overflow or a
+division by zero raises FloatingPointError rather than return inf or NaN.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import spence
+from scipy.special import expit, spence
 
 Triple = tuple[float, float, float]
 
@@ -41,6 +50,7 @@ class DomainError(ValueError):
 
 
 # Entry i of a triple is paired with entries _J[i] = i+1 and _K[i] = i+2.
+_I = [0, 1, 2]
 _J = [1, 2, 0]
 _K = [2, 0, 1]
 
@@ -118,10 +128,8 @@ def cosine_law_y(x):
 
 
 def cosine_law_x(y):
-    """Inverse law: x-side lengths from y-side lengths.
-
-    Same formula with the colors swapped; total on positive triples.
-    """
+    """Inverse law, x-side lengths from y-side lengths: the same formula
+    with the colors swapped, total on positive triples."""
     y = np.asarray(y, dtype=float)
     _check_positive(y, "y")
     return cosine_law_y(y)
@@ -152,7 +160,8 @@ def _require_closed_h3(t: np.ndarray) -> None:
 
 
 def _require_open_h3(t: np.ndarray) -> None:
-    _require(np.min(pair_sums(t), axis=-1) > H3_MARGIN, t, "t not strictly inside H3")
+    ok = (np.min(pair_sums(t), axis=-1) > H3_MARGIN) & np.all(np.isfinite(t), axis=-1)
+    _require(ok, t, "t not finite and strictly inside H3")
 
 
 def theta(t):
@@ -176,49 +185,38 @@ def theta(t):
 
 
 def theta_grad(t):
-    """Exact gradient of theta, components ln cosh(y_i/2).
-
-    Evaluated without the cosine law as
-    2 d(theta)/dt_i = ln cosh(sum t) + ln cosh(t_i)
-                      - ln sinh(t_i+t_j) - ln sinh(t_i+t_k);
-    strictly positive, divergent on the boundary of H3.
-    """
+    """Exact gradient of theta, components ln cosh(y_i/2) > 0, in the form
+    max(-t_i, 0) + (c(T) + c(t_i) + d(x_j) + d(x_k))/2: x_j + x_k = T + t_i
+    cancels the linear growth of ln cosh T + ln cosh t_i - ln sinh x_j -
+    ln sinh x_k exactly.  A row that underflows to 0 raises DomainError."""
     t = np.asarray(t, dtype=float)
     _require_open_h3(t)
     with _raising():
-        ln_sinh = np.log(np.sinh(pair_sums(t)))  # entry i: ln sinh(t_i + t_j)
-        return 0.5 * (
-            _lncosh(t.sum(axis=-1))[..., None] + _lncosh(t) - ln_sinh - ln_sinh[..., _K]
-        )
-
-
-def _lncosh(u):
-    # ln cosh u = |u| - ln 2 + ln(1 + e^{-2|u|}), overflow safe.
-    a = np.abs(u)
-    return a - _LN2 + np.log1p(np.exp(-2.0 * a))
+        a = 2.0 * pair_sums(t)  # entry i: 2(t_i + t_j)
+        # d split at 2x = ln 2, as in Maechler's log1mexp, keeps every digit
+        d = -np.where(a <= _LN2, np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
+        c = np.log1p(np.exp(-2.0 * np.abs(t)))
+        c_total = np.log1p(np.exp(-2.0 * t.sum(axis=-1)))[..., None]  # T > 0 in H3
+        g = np.maximum(-t, 0.0) + 0.5 * (c_total + c + d + d[..., _K])
+    _require(np.all(g > 0.0, axis=-1), t, "theta gradient underflows to 0")
+    return g
 
 
 def theta_hessian(t):
-    """Hessian of theta at an interior point: shape (3, 3) for one
-    triple, (..., 3, 3) for a stack.
-
-    Off-diagonal (i, j):  -2A sinh^2(y_i/2) sinh^2(y_j/2)
-    Diagonal   (i, i):    -2A sinh^2(y_i/2) (sinh^2(y_j/2)+sinh^2(y_k/2)+1)
-    with the sine-law constant A = sinh(x_i) / (sinh^2(y_i) sinh(x_j) sinh(x_k)).
-    Negative definite; -H is strictly diagonally dominant.
-    """
+    """Hessian of theta at an interior point, shape (..., 3, 3), in the
+    form -[p(T) 11^T + diag p(t) + sum_k q(x_k) (e_i + e_j)(e_i + e_j)^T]
+    (tanh = 1 - 2p, coth = 1 + 2q); -H is strictly diagonally dominant, as
+    p(t_i) > p(T).  A row whose diagonal underflows to 0 raises DomainError."""
     t = np.asarray(t, dtype=float)
     _require_open_h3(t)
-    x = t_to_x(t)
-    y = cosine_law_y(x)
     with _raising():
-        sx = np.sinh(x)
-        minus_2a = -2.0 * sx[..., 0] / (np.sinh(y[..., 0]) ** 2 * sx[..., 1] * sx[..., 2])
-        sh2 = np.sinh(y / 2.0) ** 2
-        h = minus_2a[..., None, None] * (sh2[..., :, None] * sh2[..., None, :])
-        h[..., [0, 1, 2], [0, 1, 2]] = (
-            minus_2a[..., None] * sh2 * (sh2[..., _J] + sh2[..., _K] + 1.0)
-        )
+        p_total = expit(-2.0 * t.sum(axis=-1))[..., None]
+        a = 2.0 * pair_sums(t)  # entry i: 2(t_i + t_j)
+        q = np.exp(-a) / -np.expm1(-a)
+        h = np.empty(t.shape + (3,))
+        h[..., _I, _J] = h[..., _J, _I] = -(p_total + q)
+        h[..., _I, _I] = -(p_total + expit(-2.0 * t) + q + q[..., _K])
+    _require(np.all(h[..., _I, _I] < 0.0, axis=-1), t, "theta Hessian underflows to 0")
     return h
 
 

@@ -37,48 +37,6 @@ class InfeasibleCoordinateError(ValueError):
         self.report = report
 
 
-# ---------------------------------------------------------------------------
-# linear programs, solved by HiGHS
-# ---------------------------------------------------------------------------
-
-_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-
-
-def _linprog(c, **kwargs):
-    """scipy's HiGHS LP solver.  Imported on first use: loading
-    scipy.optimize takes about a quarter second, which callers that
-    never solve an LP should not pay."""
-    from scipy.optimize import linprog
-
-    res = linprog(c, method="highs", **kwargs)
-    if res.status not in _STATUS:
-        raise LPError(f"HiGHS failed: {res.message}")
-    return _STATUS[res.status], res
-
-
-def lp_solve(
-    c,
-    a_ub=None,
-    b_ub=None,
-    a_eq=None,
-    b_eq=None,
-):
-    """min c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
-
-    Returns (status, value, x); status in 'optimal' / 'unbounded' /
-    'infeasible'.
-    """
-    status, res = _linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq)
-    if status != "optimal":
-        return status, None, None
-    return status, float(res.fun), res.x
-
-
-# ---------------------------------------------------------------------------
-# feasibility of per-edge coordinates
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class PolytopeReport:
     feasible: bool
@@ -133,7 +91,10 @@ def _margin_lp(cx: HexComplex, z: np.ndarray):
     y takes their mean.  Then y_a + y_b - y_c = 2 lam >= 0 over each
     hexagon's edge triple, sum(y) = sum(lam) = 1 and z.y = mu.
     """
+    # imported here: loading scipy.optimize takes about a quarter second,
+    # which callers that never solve an LP should not pay
     from scipy import sparse
+    from scipy.optimize import linprog
 
     m = cx.num_edges
     k = cx.num_arcs
@@ -149,11 +110,11 @@ def _margin_lp(cx: HexComplex, z: np.ndarray):
     b_ub = 0.5 * (z[edge_of[u]] + z[edge_of[v]])
     c = np.zeros(m + 1)
     c[m] = -1.0
-    status, res = _linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(None, None))
-    if status == "unbounded":
-        raise LPError("margin LP unbounded; complex has no boundary constraint")
-    if status != "optimal":
-        raise LPError(f"margin LP unexpectedly {status}")
+    # feasible (s = 0, mu = min b) and bounded (the rows sum to
+    # 3n mu <= sum b), so any status but optimal is a solver failure
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+    if res.status != 0:
+        raise LPError(f"HiGHS failed: {res.message}")
     t = coords.slice_point(cx, z, res.x[:m])
     # multipliers of a maximization are >= 0 up to HiGHS's dual tolerance
     lam = np.maximum(-res.ineqlin.marginals, 0.0)

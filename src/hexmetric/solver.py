@@ -17,7 +17,7 @@ incidence arrays; the reduced Hessian is sparse, 9 entries per hexagon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

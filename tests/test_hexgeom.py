@@ -162,6 +162,56 @@ def test_hessian_negative_definite_and_diagonally_dominant():
             assert neg[i, i] > off
 
 
+def wide_t(rng):
+    # |t_i| log-uniform in [1e-6, 300], each negative with probability
+    # 0.2, rejection-sampled into the open cone
+    while True:
+        t = 10.0 ** rng.uniform(-6.0, math.log10(300.0), 3)
+        t[rng.random(3) < 0.2] *= -1.0
+        if min(hexgeom.pair_sums(t)) > hexgeom.H3_MARGIN:
+            return t
+
+
+def test_derivatives_match_high_precision_reference():
+    # The reference differentiates theta's closed form term by term:
+    # 2 dtheta/dt_i = ln cosh T + ln cosh t_i - ln sinh x_j - ln sinh x_k
+    # and 2H = tanh(T) 11^T + diag tanh(t) - sum_k coth(x_k) v_k v_k^T with
+    # v_k = e_i + e_j, x_k = t_i + t_j.  Its terms cancel down to entries
+    # as small as e^{-4 max|t|}, so the working precision grows with max|t|.
+    # Entries below the smallest normal float are compared absolutely.
+    import mpmath
+
+    rng = np.random.default_rng(20261018)
+    tiny = np.finfo(float).tiny
+    for _ in range(48):
+        t = wide_t(rng)
+        g, h = hexgeom.theta_grad(t), hexgeom.theta_hessian(t)
+        with mpmath.workdps(int(30 + 4.0 * np.max(np.abs(t)) / math.log(10.0))):
+            tm = [mpmath.mpf(float(v)) for v in t]
+            total = sum(tm)
+            pairs = [(i, (i + 1) % 3) for i in range(3)]
+            x = {p: tm[p[0]] + tm[p[1]] for p in pairs}
+            g_ref = [
+                (mpmath.log(mpmath.cosh(total)) + mpmath.log(mpmath.cosh(tm[i]))
+                 - sum(mpmath.log(mpmath.sinh(x[p])) for p in pairs if i in p)) / 2
+                for i in range(3)
+            ]
+            h_ref = [
+                [
+                    (mpmath.tanh(total) + (mpmath.tanh(tm[i]) if i == j else 0)
+                     - sum(mpmath.coth(x[p]) for p in pairs if i in p and j in p)) / 2
+                    for j in range(3)
+                ]
+                for i in range(3)
+            ]
+            g_ref = np.array([float(v) for v in g_ref])
+            h_ref = np.array([[float(v) for v in row] for row in h_ref])
+        np.testing.assert_array_less(np.abs(g - g_ref), 1e-12 * np.abs(g_ref), err_msg=str(t))
+        np.testing.assert_array_less(
+            np.abs(h - h_ref), 1e-12 * np.abs(h_ref) + tiny, err_msg=str(t)
+        )
+
+
 def test_energy_blows_up_near_boundary():
     # inward derivative along the segment from a boundary point a to an
     # interior point p grows without bound approaching the boundary:

@@ -1,4 +1,4 @@
-"""LP solver, feasibility polytope, duality cross-check, interior points."""
+"""Feasibility polytope, duality cross-check, interior points."""
 
 import numpy as np
 import pytest
@@ -9,86 +9,11 @@ from hexmetric.polytope import (
     check_cycles,
     check_feasibility,
     interior_point,
-    lp_solve,
 )
 
 from conftest import seeded_complex
 
 RNG = np.random.default_rng(20240813)
-
-
-# --- lp_solve on known problems --------------------------------------------
-
-
-def test_lp_basic_optimum():
-    # min -x - y  s.t. x + y <= 1 -> value -1 on the segment x + y = 1
-    status, value, x = lp_solve([-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
-    assert status == "optimal"
-    assert value == pytest.approx(-1.0, abs=1e-12)
-    assert x[0] + x[1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_lp_equality_constraint():
-    # min x1 s.t. x1 + x2 = 2, x1 - x2 <= 0 -> x1 = 0? no: x >= 0, so
-    # minimum is x1 = 0, x2 = 2
-    status, value, x = lp_solve(
-        [1.0, 0.0], a_ub=[[1.0, -1.0]], b_ub=[0.0], a_eq=[[1.0, 1.0]], b_eq=[2.0]
-    )
-    assert status == "optimal"
-    assert value == pytest.approx(0.0, abs=1e-12)
-    assert x[1] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_lp_unbounded():
-    status, _, _ = lp_solve([-1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[1.0])
-    assert status == "unbounded"
-
-
-def test_lp_infeasible():
-    status, _, _ = lp_solve(
-        [1.0], a_ub=[[1.0]], b_ub=[1.0], a_eq=[[1.0]], b_eq=[3.0]
-    )
-    assert status == "infeasible"
-
-
-def test_lp_degenerate_does_not_cycle():
-    # classic degenerate vertex: several redundant rows through origin
-    status, value, _ = lp_solve(
-        [-0.75, 150.0, -0.02, 6.0],
-        a_ub=[
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ],
-        b_ub=[0.0, 0.0, 1.0],
-    )
-    assert status == "optimal"
-    assert value == pytest.approx(-0.05, abs=1e-9)
-
-
-def test_lp_random_against_vertex_enumeration():
-    # 2-variable LPs checked against brute-force vertex enumeration
-    for _ in range(100):
-        a = RNG.uniform(-1.0, 1.0, (4, 2))
-        b = RNG.uniform(0.5, 2.0, 4)  # origin always feasible
-        c = RNG.uniform(-1.0, 1.0, 2)
-        status, value, _ = lp_solve(c, a_ub=a, b_ub=b)
-        # enumerate candidate vertices of {x >= 0, a x <= b}
-        rows = np.vstack([a, -np.eye(2)])
-        rhs = np.concatenate([b, np.zeros(2)])
-        best = np.inf
-        for i in range(rows.shape[0]):
-            for j in range(i + 1, rows.shape[0]):
-                m = rows[[i, j]]
-                if abs(np.linalg.det(m)) < 1e-9:
-                    continue
-                v = np.linalg.solve(m, rhs[[i, j]])
-                if np.all(v >= -1e-9) and np.all(rows @ v <= rhs + 1e-9):
-                    best = min(best, float(c @ v))
-        if status == "optimal":
-            assert value == pytest.approx(best, abs=1e-8)
-        else:
-            assert status == "unbounded"
 
 
 # --- feasibility of per-edge coordinates ------------------------------------
