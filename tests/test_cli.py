@@ -225,15 +225,24 @@ def test_numeric_range_errors_exit_input(pants_file, tmp_path, capsys, command, 
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _assert_solve_refused_by_audit(pants_file, tmp_path, capsys, value):
+    z = write_coords(tmp_path, "z.json", {"e0": value, "e1": value, "e2": value})
+    assert run(["solve", pants_file, "--z", z]) == cli.EXIT_VERIFY
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] and not doc["verified"]
+    assert doc["verification_failures"]
+
+
 def test_solve_failed_audit_exits_verify(pants_file, tmp_path, capsys):
-    # the solve succeeds (x = z, y ~ 9e-5 at z = 20) but the audit's walk
-    # cannot resolve it: a verification failure, not an input error
-    for value in (20.0, 50.0):
-        z = write_coords(tmp_path, "z.json", {"e0": value, "e1": value, "e2": value})
-        assert run(["solve", pants_file, "--z", z]) == cli.EXIT_VERIFY, value
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["converged"] and not doc["verified"]
-        assert doc["verification_failures"]
+    # the solve succeeds (x = 20, y ~ 9e-5) but the audit's walk cannot
+    # resolve it: a verification failure, not an input error
+    _assert_solve_refused_by_audit(pants_file, tmp_path, capsys, 20.0)
+
+
+def test_solve_large_z_hessian_finite_exits_verify(pants_file, tmp_path, capsys):
+    # at z = 50 the Hessian stays finite, so the solve converges and the
+    # audit, not the input check, refuses it
+    _assert_solve_refused_by_audit(pants_file, tmp_path, capsys, 50.0)
 
 
 def test_lp_failure_exits_no_convergence(pants_file, tmp_path, capsys, monkeypatch):
