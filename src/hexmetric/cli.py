@@ -131,6 +131,7 @@ def cmd_solve(args) -> int:
         "achieved_z": _edge_map(cx, metric.z),
         "mismatch": metric.mismatch,
         "iterations": rep.iterations,
+        "cg_iterations": rep.cg_iterations,
         "grad_norm": rep.grad_norm,
         "energy": rep.energy,
         "converged": rep.converged,

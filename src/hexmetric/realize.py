@@ -144,6 +144,15 @@ def random_isometry(rng: np.random.Generator) -> np.ndarray:
     return rot @ boost
 
 
+def _law_defined(x: np.ndarray) -> bool:
+    """Whether hexgeom.cosine_law_y gives a finite y for the triple x."""
+    try:
+        hexgeom.cosine_law_y(x)
+    except ArithmeticError:
+        return False
+    return True
+
+
 @dataclass
 class VerificationReport:
     ok: bool
@@ -162,15 +171,24 @@ def verify_metric(cx: HexComplex, metric: HyperbolicMetric, tol: float = 1e-8) -
     Realizes every hexagon from its x-lengths, compares the measured
     y-sides against the metric's edge lengths on both sides of every
     edge, and re-sums the boundary components.  Never raises on a bad
-    metric: a residual that is not finite, or an x-triple outside the
-    domain (not positive and finite), fails its hexagon.
+    metric: a residual that is not finite, an x-triple outside the
+    domain (not positive and finite), or one whose cosine law overflows
+    fails its hexagon.
     """
     failures: list[str] = []
     hex_x = np.reshape(metric.x_arcs, (cx.n, 3))
     valid = np.all((hex_x > 0.0) & np.isfinite(hex_x), axis=1, keepdims=True)
     # walk (1, 1, 1) in place of a triple outside the domain: it fails the
     # side check, as |1 - v| is NaN, inf or at least 1 there
-    _, measured, angle, closure = realize_hexagons(np.where(valid, hex_x, 1.0))
+    x = np.where(valid, hex_x, 1.0)
+    try:
+        _, measured, angle, closure = realize_hexagons(x)
+    except ArithmeticError:
+        # a positive finite triple whose cosine law overflows, such as
+        # (400, 400, 400): find which, one hexagon at a time, and walk
+        # (1, 1, 1) in its place as well
+        valid[:, 0] &= [_law_defined(row) for row in x]
+        _, measured, angle, closure = realize_hexagons(np.where(valid, hex_x, 1.0))
     side_err = np.max(np.abs(measured[:, 0::2] - hex_x), axis=1)
     for h in np.flatnonzero(~((closure <= tol) & (angle <= tol) & (side_err <= tol))):
         failures.append(f"hexagon {h}: realization residual above {tol:g}")

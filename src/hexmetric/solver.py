@@ -12,11 +12,15 @@ s_e is ln cosh(y_a/2) - ln cosh(y_b/2).
 
 Each Newton quantity is one hexgeom call on the (n, 3) array of all
 hexagons' t-triples, scattered to the edges through the complex's
-incidence arrays; the reduced Hessian is sparse, 9 entries per hexagon.
+incidence arrays.  The reduced Hessian has 9 block entries per hexagon,
+scattered into a CSR sparsity pattern fixed once per complex
+(`HexComplex.hessian_pattern`); each Newton step solves it with a
+short diagonally preconditioned conjugate-gradient loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +60,7 @@ class SolveReport:
     energy: float
     achieved_z: np.ndarray
     converged: bool
+    cg_iterations: int = 0  # conjugate-gradient iterations over all Newton steps
 
 
 @dataclass
@@ -110,25 +115,56 @@ def edge_side_lengths(cx: HexComplex, t: np.ndarray) -> np.ndarray:
     return hexgeom.cosine_law_y(x.reshape(cx.n, 3)).ravel()[cx.edge_arcs]
 
 
-def _grad_hess_s(cx: HexComplex, t: np.ndarray):
-    """Gradient and Hessian of the energy in the free coordinates s.
+def _newton_system(cx: HexComplex, t: np.ndarray):
+    """Gradient g_s and negated Hessian -H of the energy in the free
+    coordinates s.
 
-    Each hexagon's gradient 3-vector and Hessian 3x3 block are scattered
-    through its arcs' edges and signs; the Hessian is a sparse matrix
-    with 9 entries per hexagon (duplicates summed on conversion)."""
-    from scipy import sparse
+    Each hexagon's gradient 3-vector is scattered through its arcs'
+    edges and signs; its Hessian 3x3 block is scattered into the data of
+    the complex's fixed CSR pattern (duplicate slots summed by the
+    bincount), which gives -H, symmetric positive definite."""
+    from scipy.sparse import csr_array
 
+    pattern = cx.hessian_pattern
     ts = t.reshape(cx.n, 3)
     g_s = np.bincount(
         cx.arc_edge, weights=cx.arc_sign * hexgeom.theta_grad(ts).ravel(), minlength=cx.num_edges
     )
-    edges = cx.arc_edge.reshape(cx.n, 3)
-    signs = cx.arc_sign.reshape(cx.n, 3)
-    blocks = signs[:, :, None] * signs[:, None, :] * hexgeom.theta_hessian(ts)
-    rows = np.broadcast_to(edges[:, :, None], blocks.shape).ravel()
-    cols = np.broadcast_to(edges[:, None, :], blocks.shape).ravel()
-    h_s = sparse.coo_array((blocks.ravel(), (rows, cols)), shape=(cx.num_edges,) * 2)
-    return g_s, h_s
+    data = np.bincount(
+        pattern.slot,
+        weights=pattern.neg_sign * hexgeom.theta_hessian(ts).ravel(),
+        minlength=len(pattern.indices),
+    )
+    neg_h = csr_array((data, pattern.indices, pattern.indptr), shape=(cx.num_edges,) * 2)
+    return g_s, neg_h
+
+
+def _grad_hess_s(cx: HexComplex, t: np.ndarray):
+    """Gradient and Hessian (CSR) of the energy in the free coordinates s."""
+    g_s, neg_h = _newton_system(cx, t)
+    return g_s, -neg_h
+
+
+def _pcg(a, b: np.ndarray, inv_diag: np.ndarray) -> tuple[np.ndarray, int]:
+    """Diagonally preconditioned conjugate gradients for a x = b, a
+    symmetric positive definite: stops when ||r|| <= _CG_RTOL ||b|| or
+    after 10 len(b) iterations.  Returns x and the iteration count."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    atol = _CG_RTOL * math.sqrt(b @ b)
+    p = None
+    for k in range(10 * len(b)):
+        if math.sqrt(r @ r) <= atol:
+            return x, k
+        z = inv_diag * r
+        rz = r @ z
+        p = z if p is None else z + (rz / rz_prev) * p
+        q = a @ p
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rz_prev = rz
+    return x, 10 * len(b)
 
 
 def maximize(
@@ -140,9 +176,6 @@ def maximize(
     """Newton ascent to the unique energy maximizer on the slice with
     invariant z.  `start_t` must already lie on the slice; by default
     the max-margin interior point is used."""
-    from scipy.sparse import diags_array
-    from scipy.sparse.linalg import cg
-
     cfg = cfg or SolveConfig()
     z = np.asarray(z, dtype=float)
     if start_t is None:
@@ -156,9 +189,9 @@ def maximize(
     if domain_margin(cx, t) <= _MARGIN_FLOOR:
         raise SolveError("starting point is not interior")
     val = energy(cx, t)
-    report = None
+    cg_iterations = 0
     for it in range(1, cfg.max_iter + 1):
-        g_s, h_s = _grad_hess_s(cx, t)
+        g_s, neg_h = _newton_system(cx, t)
         sides = edge_side_lengths(cx, t)
         mismatch = float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
         grad_norm = float(np.max(np.abs(g_s)))
@@ -170,13 +203,14 @@ def maximize(
                 energy=val,
                 achieved_z=_achieved_z(cx, t),
                 converged=True,
+                cg_iterations=cg_iterations,
             )
             return t, report
-        neg_h = -h_s.tocsr()
         # -H is symmetric positive definite and diagonally dominant, so
         # diagonally preconditioned CG converges fast (a sparse LU fills
         # in); an inexact step is still an ascent direction.
-        step, _ = cg(neg_h, g_s, rtol=_CG_RTOL, M=diags_array(1.0 / neg_h.diagonal()))
+        step, k = _pcg(neg_h, g_s, 1.0 / neg_h.data[cx.hessian_pattern.diagonal])
+        cg_iterations += k
         slope = float(g_s @ step)
         if slope < 0.0:
             raise SolveError("Newton direction is not an ascent direction")
@@ -186,7 +220,7 @@ def maximize(
                 raise SolveError(
                     "line search stalled at the domain boundary; the "
                     "coordinate is infeasible or numerically near-boundary",
-                    SolveReport(it, grad_norm, mismatch, val, z.copy(), False),
+                    SolveReport(it, grad_norm, mismatch, val, z.copy(), False, cg_iterations),
                 )
             s_try = s + alpha * step
             t_try = coords.slice_point(cx, z, s_try)
@@ -206,7 +240,7 @@ def maximize(
         s, t, val = s_try, t_try, val_try
     raise SolveError(
         f"no convergence within {cfg.max_iter} Newton iterations",
-        SolveReport(cfg.max_iter, grad_norm, mismatch, val, z.copy(), False),
+        SolveReport(cfg.max_iter, grad_norm, mismatch, val, z.copy(), False, cg_iterations),
     )
 
 

@@ -17,6 +17,8 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +68,26 @@ class EdgeCycle:
         return all(c <= 2 for c in counts.values())
 
 
+class HessianPattern(NamedTuple):
+    """Fixed CSR sparsity pattern of the (m, m) reduced Hessian.
+
+    Entry (i, j) is stored when edges i and j bound a common hexagon.
+    Hexagon h's 3x3 block, in the order of its arcs 3h, 3h + 1, 3h + 2,
+    lands on the edges those arcs face: block entry 9h + 3a + b goes to
+    ``data[slot[9h + 3a + b]]``, weighted by ``neg_sign``, which is
+    -arc_sign[3h + a] * arc_sign[3h + b].  A self-glued hexagon has an
+    edge twice, so several block entries can share a slot; they are
+    summed.  Scattering the energy Hessian's blocks this way gives the
+    CSR data of -H.
+    """
+
+    indptr: np.ndarray  # (m + 1,)
+    indices: np.ndarray  # (nnz,), sorted within each row
+    diagonal: np.ndarray  # (m,): position in data of entry (e, e)
+    slot: np.ndarray  # (9n,)
+    neg_sign: np.ndarray  # (9n,)
+
+
 @dataclass(frozen=True)
 class CycleEnumeration:
     cycles: tuple[EdgeCycle, ...]
@@ -89,6 +111,9 @@ class HexComplex:
     * ``arc_boundary[w]``: the boundary component containing arc w;
     * ``arc_boundary_edge[w]``: the edge after arc w in the boundary
       edge cycle of that component.
+
+    ``hessian_pattern`` (a HessianPattern of read-only arrays) is built
+    on first use, by the first Newton step, and kept.
     """
 
     n: int
@@ -170,6 +195,27 @@ class HexComplex:
         for a in (self.hex_edges, self.edge_arcs, self.arc_edge, self.arc_sign,
                   self._slot_mate, self._reversed, self.arc_boundary, self.arc_boundary_edge):
             a.flags.writeable = False
+
+    @cached_property
+    def hessian_pattern(self) -> HessianPattern:
+        m = self.num_edges
+        edges = self.arc_edge.reshape(self.n, 3)
+        signs = self.arc_sign.reshape(self.n, 3)
+        key = (edges[:, :, None] * m + edges[:, None, :]).ravel()
+        entries, slot = np.unique(key, return_inverse=True)
+        row, col = np.divmod(entries, m)
+        # int32 indices are what scipy.sparse keeps without a copy
+        idx = np.int32 if len(entries) < 2**31 else np.int64
+        pattern = HessianPattern(
+            indptr=np.searchsorted(row, np.arange(m + 1)).astype(idx),
+            indices=col.astype(idx),
+            diagonal=np.flatnonzero(row == col),
+            slot=slot,
+            neg_sign=-(signs[:, :, None] * signs[:, None, :]).ravel(),
+        )
+        for a in pattern:
+            a.flags.writeable = False
+        return pattern
 
     def _boundary_walks(self, partner: np.ndarray) -> list[np.ndarray]:
         """Exit vertices of each boundary circle, in order of the

@@ -89,6 +89,8 @@ def test_solve_symmetric_pants(pants_file, tmp_path, capsys):
     for v in doc["boundary_lengths"].values():
         assert v == pytest.approx(2.0 * ACOSH2, abs=1e-8)
     assert doc["converged"] and doc["verified"]
+    # every Newton step takes at least one conjugate-gradient iteration
+    assert doc["cg_iterations"] >= doc["iterations"]
 
 
 def test_solve_infeasible_exit(pants_file, tmp_path):

@@ -201,3 +201,16 @@ def test_verify_metric_reports_walk_off_the_hyperboloid(pants):
     report = verify_metric(pants, metric)
     assert not report.ok
     assert "hexagon 0: realization residual above 1e-08" in report.failures
+
+
+def test_verify_metric_reports_overflowing_hexagon(pants):
+    # (400, 400, 400) is positive and finite, but cosh 400 * cosh 400
+    # overflows in its cosine law: that hexagon fails, the other is
+    # still walked, and nothing raises
+    t, _ = solver.maximize(pants, np.full(3, math.acosh(2.0)))
+    metric = solver.extract_metric(pants, t)
+    metric.x_arcs[3:6] = 400.0  # hexagon 1
+    report = verify_metric(pants, metric)
+    assert not report.ok
+    assert "hexagon 1: realization residual above 1e-08" in report.failures
+    assert not any(f.startswith("hexagon 0") for f in report.failures)

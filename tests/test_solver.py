@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexmetric import coords, polytope, solver
+from hexmetric import coords, hexgeom, polytope, solver
 from hexmetric.solver import (
     SolveConfig,
     SolveError,
@@ -15,6 +15,7 @@ from hexmetric.solver import (
     maximize,
     perturbed_interior_start,
 )
+from hexmetric.surface import HexComplex
 
 from conftest import random_lengths, seeded_complex
 
@@ -191,3 +192,92 @@ def test_newton_pinned_on_seeded_complexes(n):
     assert rep.iterations == pin["iterations"]
     edge_lengths = extract_metric(cx, t).edge_lengths
     assert np.max(np.abs(edge_lengths - pin["edge_lengths"])) < 1e-12
+
+
+# The fixed Hessian pattern and the conjugate-gradient step, on the
+# fixture complexes, a seeded one, and a complex with a self-glued
+# hexagon (its edge e0 bounds hexagon 0 twice, so two block entries of
+# that hexagon land on each of e0's pattern slots and are summed).
+def _pattern_cases(pants, torus, four):
+    self_glued = HexComplex(
+        n=2,
+        gluings=[((0, 1), (0, 3), False), ((0, 5), (1, 1), False), ((1, 3), (1, 5), True)],
+    )
+    return [pants, torus, four, seeded_complex(32, 20241107), self_glued]
+
+
+def _interior_t(cx, seed):
+    lengths = random_lengths(np.random.default_rng(seed), cx.num_edges)
+    z, _, _ = forward_map(cx, lengths)
+    return z, perturbed_interior_start(cx, z, np.random.default_rng(seed))
+
+
+def _dense_hessian(cx, t):
+    edges = cx.arc_edge.reshape(cx.n, 3)
+    signs = cx.arc_sign.reshape(cx.n, 3)
+    blocks = signs[:, :, None] * signs[:, None, :] * hexgeom.theta_hessian(t.reshape(cx.n, 3))
+    h = np.zeros((cx.num_edges, cx.num_edges))
+    np.add.at(h, (edges[:, :, None], edges[:, None, :]), blocks)
+    return h
+
+
+def _cg_step(cx, t):
+    g_s, neg_h = solver._newton_system(cx, t)
+    step, _ = solver._pcg(neg_h, g_s, 1.0 / neg_h.diagonal())
+    return g_s, neg_h, step
+
+
+def test_hessian_pattern_matches_dense_assembly(pants, torus, four):
+    for i, cx in enumerate(_pattern_cases(pants, torus, four)):
+        _, t = _interior_t(cx, i)
+        _, h_s = solver._grad_hess_s(cx, t)
+        dense = _dense_hessian(cx, t)
+        assert np.max(np.abs(h_s.toarray() - dense)) <= 1e-15
+        assert h_s.nnz == np.count_nonzero(dense)
+
+
+def test_cg_step_matches_dense_solve(pants, torus, four):
+    for i, cx in enumerate(_pattern_cases(pants, torus, four)):
+        _, t = _interior_t(cx, 100 + i)
+        g_s, neg_h, step = _cg_step(cx, t)
+        exact = np.linalg.solve(neg_h.toarray(), g_s)
+        assert np.linalg.norm(step - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+def test_hessian_pattern_is_read_only_and_reused(pants, torus, four):
+    for i, cx in enumerate(_pattern_cases(pants, torus, four)):
+        _, t = _interior_t(cx, 200 + i)
+        solver._newton_system(cx, t)
+        pattern = cx.hessian_pattern
+        for a in pattern:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        solver._newton_system(cx, t)
+        assert cx.hessian_pattern is pattern
+        assert len(pattern.diagonal) == cx.num_edges
+
+
+def test_cg_step_near_the_maximizer(pants, torus, four):
+    # a gradient of about 1e-11, and a zero one, give finite steps with
+    # no RuntimeWarning (which the test configuration makes an error)
+    for i, cx in enumerate(_pattern_cases(pants, torus, four)):
+        z, t0 = _interior_t(cx, 300 + i)
+        t_star, _ = maximize(cx, z, start_t=t0)
+        u = np.random.default_rng(i).standard_normal(cx.num_edges)
+        t = coords.slice_point(cx, z, solver._s_of_t(cx, t_star) + 1e-11 * u)
+        g_s, neg_h, step = _cg_step(cx, t)
+        assert 1e-13 < np.linalg.norm(g_s) < 1e-9
+        assert np.all(np.isfinite(step))
+        exact = np.linalg.solve(neg_h.toarray(), g_s)
+        assert np.linalg.norm(step - exact) <= 1e-10 * np.linalg.norm(exact)
+        zero, k = solver._pcg(neg_h, np.zeros(cx.num_edges), 1.0 / neg_h.diagonal())
+        assert k == 0 and not np.any(zero)
+
+
+def test_report_counts_cg_iterations(all_fixtures):
+    for cx in all_fixtures.values():
+        z, t0 = _interior_t(cx, 400)
+        _, rep = maximize(cx, z, start_t=t0)
+        assert rep.iterations >= 1
+        assert rep.iterations <= rep.cg_iterations <= rep.iterations * 10 * cx.num_edges
