@@ -1,7 +1,7 @@
 """Feasibility polytope for per-edge coordinates.
 
 A coordinate vector z is realizable by a hyperbolic metric iff every
-edge cycle has positive z-sum.  By LP duality this is equivalent to
+closed edge cycle has positive z-sum.  By LP duality this is equivalent to
 min { z . y : y in D, sum y = 1 } > 0 over the cone
 
     D = { y >= 0 : y_i + y_j >= y_k for each 2-cell's edge triple },
@@ -9,8 +9,11 @@ min { z . y : y in D, sum y = 1 } > 0 over the cone
 which is the test implemented here, together with the construction of a
 max-margin interior starting point for the energy maximizer.  Both come
 from one LP, the max-margin LP over the slice, whose dual is the cone
-LP above; it is solved by HiGHS (scipy.optimize.linprog) on a sparse
-matrix with three nonzeros per row.
+LP above.  Each of its rows has two unit-coefficient variables, so its
+optimum is the minimum cycle mean of a graph on the x-arcs whose cycles
+are the closed edge cycles.  Howard's policy iteration, vectorised over
+the arcs, gives that mean together with a minimizing edge cycle (the
+infeasibility certificate) and potentials (the max-margin witness).
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ TAU_FEAS = 1e-9
 
 
 class LPError(RuntimeError):
-    pass
+    """The minimum-mean-cycle solve behind the margin LP did not settle:
+    Howard's policy iteration ran past MAX_POLICIES policies, or the
+    Bellman-Ford fallback found a cycle below the minimum mean."""
 
 
 class InfeasibleCoordinateError(ValueError):
@@ -45,6 +50,9 @@ class PolytopeReport:
     boundary_values: np.ndarray
     certificate: np.ndarray | None = None  # cone direction with z.y <= tol
     witness: np.ndarray | None = None  # interior length structure
+    # edges of a closed edge cycle of least mean z (at most tol), in
+    # crossing order; certificate is their multiplicities over its length
+    certificate_cycle: np.ndarray | None = None
 
     def to_json_dict(self, cx: HexComplex) -> dict:
         d = {
@@ -59,6 +67,8 @@ class PolytopeReport:
             d["certificate"] = {
                 cx.labels[e]: float(v) for e, v in enumerate(self.certificate)
             }
+        if self.certificate_cycle is not None:
+            d["certificate_cycle"] = [cx.labels[e] for e in self.certificate_cycle]
         if self.witness is not None:
             d["witness_x_arcs"] = [float(v) for v in self.witness]
         return d
@@ -78,51 +88,150 @@ def cone_inequalities(cx: HexComplex) -> np.ndarray:
     return rows
 
 
+# Howard's iteration has taken at most 32 policies on seeded complexes
+# up to n = 4096 (means 7, 15 and 25 at n = 32, 512 and 4096); past this
+# many the solve is reported as failed
+MAX_POLICIES = 500
+
+
+def _arc_graph(cx: HexComplex, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps of the arc graph, as (3n, 2) successor and weight arrays.
+
+    Node a stands for the literal sign(a) s(e(a)), the free coordinate
+    of arc a's facing pair.  For each other arc u of a's hexagon there
+    is a step from a to the arc facing u (across edge e(u)), of weight
+    (z[e(a)] + z[e(u)]) / 2.  A closed walk crosses the edges e(a) of
+    its nodes in turn, so its cycles are the closed edge cycles, and a
+    cycle's weight is its z-sum.
+    """
+    mate = np.empty(cx.num_arcs, dtype=np.intp)
+    mate[cx.edge_arcs] = cx.edge_arcs[:, ::-1]
+    hex_arcs = np.arange(cx.num_arcs).reshape(cx.n, 3)
+    others = np.stack([hex_arcs[:, [1, 2, 0]].ravel(), hex_arcs[:, [2, 0, 1]].ravel()], axis=1)
+    succ = mate[others]
+    z_arc = z[cx.arc_edge]
+    return succ, 0.5 * (z_arc[:, None] + z_arc[succ])
+
+
+def _evaluate(nxt: np.ndarray, cost: np.ndarray, h_old: np.ndarray, levels: int):
+    """Cycle means, values and cycle roots of the policy a -> nxt[a].
+
+    By pointer doubling: after round j, ``jump`` is nxt applied 2**j
+    times and ``low[a]`` the least node among a's next 2**j.  With
+    2**levels >= len(nxt), jump lands every node on its cycle, where low
+    is the cycle's least node, its root.  The value h[a] is the cost of
+    the walk from a to its root, less eta per step, plus the root's
+    previous value h_old[root], so that a cycle kept from one policy to
+    the next keeps its values (Cochet-Terrasson et al.'s rule).
+    """
+    nodes = np.arange(len(nxt))
+    jump, low = nxt, nodes
+    for _ in range(levels):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    root = low[jump]
+    on_cycle = np.zeros(len(nxt), dtype=bool)
+    on_cycle[jump] = True
+    length = np.bincount(root[on_cycle], minlength=len(nxt))
+    total = np.bincount(root[on_cycle], weights=cost[on_cycle], minlength=len(nxt))
+    eta = total[root] / length[root]
+    is_root = root == nodes
+    jump = np.where(is_root, nodes, nxt)
+    h = np.where(is_root, 0.0, cost - eta)
+    for _ in range(levels):
+        h = h + h[jump]
+        jump = jump[jump]
+    return eta, h + h_old[root], root
+
+
+def _min_mean_cycle(succ: np.ndarray, w: np.ndarray):
+    """Minimum cycle mean of the graph with steps a -> succ[a, c] of
+    weight w[a, c], by Howard's policy iteration (Cochet-Terrasson et
+    al. 1998).
+
+    Returns (mu, d, cycle): the least mean weight of a cycle, potentials
+    d with d[succ] <= d[:, None] + w - mu up to rounding, and the nodes
+    of a cycle of mean mu in walk order.  Raises LPError when the
+    iteration does not settle within MAX_POLICIES policies.
+    """
+    nodes = np.arange(len(succ))
+    levels = (len(succ) - 1).bit_length()
+    scale = np.abs(w).max()
+    tol = 1e-12 * scale
+    choice = np.argmin(w, axis=1)
+    h = np.zeros(len(succ))
+    for _ in range(MAX_POLICIES):
+        nxt = succ[nodes, choice]
+        eta, h, root = _evaluate(nxt, w[nodes, choice], h, levels)
+        # first move toward a cycle of smaller mean; only when no node
+        # can, toward a smaller value among steps that keep the mean
+        eta_next = eta[succ]
+        best = np.argmin(eta_next, axis=1)
+        better = eta_next[nodes, best] < eta - tol
+        if not better.any():
+            value = np.where(eta_next <= eta[:, None] + tol, w - eta[:, None] + h[succ], np.inf)
+            best = np.argmin(value, axis=1)
+            better = value[nodes, best] < h - 1e-12 * (np.abs(h) + scale)
+            if not better.any():
+                break
+        choice = np.where(better, best, choice)
+    else:
+        raise LPError(f"policy iteration did not settle in {MAX_POLICIES} policies")
+    mu = float(eta.min())
+    start = root[np.argmin(eta)]
+    cycle = [start]
+    while (a := nxt[cycle[-1]]) != start:
+        cycle.append(a)
+    # a single class has d = -h; otherwise h only orders the nodes
+    # within each class and the potentials come from Bellman-Ford
+    d = -h if eta.max() - mu <= tol else _bellman_ford(succ, w, mu)
+    return mu, d, np.array(cycle)
+
+
+def _bellman_ford(succ: np.ndarray, w: np.ndarray, mu: float) -> np.ndarray:
+    """Potentials d with d[succ] <= d[:, None] + w - mu: shortest
+    distances under w - mu from a source joined to every node at weight
+    0.  There is no negative cycle when mu is the minimum cycle mean, so
+    they settle within len(succ) rounds."""
+    slack = w - mu
+    tol = 1e-12 * np.abs(slack).max()
+    d = np.zeros(len(succ))
+    for _ in range(len(succ) + 1):
+        new = d.copy()
+        np.minimum.at(new, succ, d[:, None] + slack)
+        if not np.any(new < d - tol):
+            return new
+        d = new
+    raise LPError("Bellman-Ford found a cycle below the minimum mean")
+
+
 def _margin_lp(cx: HexComplex, z: np.ndarray):
     """Max-margin point of the slice with invariant z.
 
     Maximizes mu over one free s per edge subject to, for every arc w
     with hexagon-mates u, v,  x(w) = t(u) + t(v) >= mu,  where t is the
-    slice point coords.slice_point(cx, z, s).  Returns (mu, t, y).  mu is
-    also the minimum of z.y over the cone D cut by sum(y) = 1: the cone
-    LP is this LP's dual, and y is its minimizer, read off the row
-    multipliers lam: y(e) = lam(u) + lam(v) for the mates u, v of a
-    facing arc of e.  Dual feasibility makes the two facing arcs agree;
-    y takes their mean.  Then y_a + y_b - y_c = 2 lam >= 0 over each
-    hexagon's edge triple, sum(y) = sum(lam) = 1 and z.y = mu.
+    slice point coords.slice_point(cx, z, s).  Returns (mu, t, y).
+
+    In the literals l(a) = sign(a) s(e(a)) a row reads
+    l(u) + l(v) >= mu - (z[e(u)] + z[e(v)]) / 2, and l of an arc is
+    minus l of the arc facing it: two unit-coefficient variables per row
+    (Hochbaum and Naor 1994).  So mu is the minimum cycle mean of the
+    arc graph (see _arc_graph), which is also the minimum of z.y over
+    the cone D cut by sum(y) = 1, this LP's dual.  y is a cycle of that
+    mean as its edges in crossing order; its edge multiplicities over
+    its length are the dual minimizer.  The witness s(e) = (d(a) -
+    d(a')) / 2, from the graph's potentials d at e's facing arcs a, a'
+    (sides 0 and 1), has margin mu.
     """
-    # imported here: loading scipy.optimize takes about a quarter second,
-    # which callers that never solve an LP should not pay
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    m = cx.num_edges
-    k = cx.num_arcs
-    edge_of, sign = cx.arc_edge, cx.arc_sign
-    # row w = 0, 1, ... reads x(w) = t(u) + t(v) for the mates u, v of w
-    hex_arcs = np.arange(k).reshape(cx.n, 3)
-    u = hex_arcs[:, [1, 2, 0]].ravel()
-    v = hex_arcs[:, [2, 0, 1]].ravel()
-    rows = np.repeat(np.arange(k), 3)
-    cols = np.stack([edge_of[u], edge_of[v], np.full(k, m)], axis=1).ravel()
-    vals = np.stack([-sign[u], -sign[v], np.ones(k)], axis=1).ravel()
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(k, m + 1))
-    b_ub = 0.5 * (z[edge_of[u]] + z[edge_of[v]])
-    c = np.zeros(m + 1)
-    c[m] = -1.0
-    # feasible (s = 0, mu = min b) and bounded (the rows sum to
-    # 3n mu <= sum b), so any status but optimal is a solver failure
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
-    if res.status != 0:
-        raise LPError(f"HiGHS failed: {res.message}")
-    t = coords.slice_point(cx, z, res.x[:m])
-    # multipliers of a maximization are >= 0 up to HiGHS's dual tolerance
-    lam = np.maximum(-res.ineqlin.marginals, 0.0)
-    y = 0.5 * np.bincount(edge_of, weights=lam[u] + lam[v], minlength=m)
-    return float(res.x[m]), t, y
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("coordinate values must be finite")
+    mu, d, cycle = _min_mean_cycle(*_arc_graph(cx, z))
+    s = 0.5 * (d[cx.edge_arcs[:, 0]] - d[cx.edge_arcs[:, 1]])
+    return mu, coords.slice_point(cx, z, s), cx.arc_edge[cycle]
 
 
-def _report(cx: HexComplex, z: np.ndarray, tol: float, mu: float, t, y) -> PolytopeReport:
+def _report(cx: HexComplex, z: np.ndarray, tol: float, mu: float, t, cycle) -> PolytopeReport:
     boundary_values = coords.boundary_z_sums(cx, z)
     if mu > tol:
         return PolytopeReport(
@@ -137,7 +246,8 @@ def _report(cx: HexComplex, z: np.ndarray, tol: float, mu: float, t, y) -> Polyt
         status="boundary" if mu >= -tol else "infeasible",
         lp_min=mu,
         boundary_values=boundary_values,
-        certificate=y,
+        certificate=np.bincount(cycle, minlength=cx.num_edges) / len(cycle),
+        certificate_cycle=cycle,
     )
 
 

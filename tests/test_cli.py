@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ PANTS_DOC = {
         {"a": [0, 5], "b": [1, 5], "reversed": False},
     ],
 }
+
+FOUR_FILE = Path(__file__).parent.parent / "scripts" / "data" / "four.json"
 
 
 @pytest.fixture
@@ -98,9 +101,12 @@ def test_solve_infeasible_exit(pants_file, tmp_path):
     assert run(["solve", pants_file, "--z", z]) == cli.EXIT_INFEASIBLE
 
 
-def test_solve_non_convergence_exit(pants_file, tmp_path):
-    z = write_coords(tmp_path, "z.json", {"e0": 0.3, "e1": 1.7, "e2": 0.9})
-    assert run(["solve", pants_file, "--z", z, "--max-iter", "1", "--tol", "1e-14"]) == cli.EXIT_NO_CONVERGENCE
+def test_solve_non_convergence_exit(tmp_path):
+    # on pants the max-margin start is already the maximizer, so use four
+    z = write_coords(tmp_path, "z.json", dict(zip(
+        ["e0", "e1", "e2", "e3", "e4", "e5"], [0.3, 1.7, 0.9, 1.1, 0.6, 1.4])))
+    args = ["solve", str(FOUR_FILE), "--z", z, "--max-iter", "1", "--tol", "1e-14"]
+    assert run(args) == cli.EXIT_NO_CONVERGENCE
 
 
 def test_solve_output_feeds_forward(pants_file, tmp_path, capsys):
@@ -257,3 +263,17 @@ def test_lp_failure_exits_no_convergence(pants_file, tmp_path, capsys, monkeypat
     z = write_coords(tmp_path, "z.json", {"e0": 1, "e1": 1, "e2": 1})
     assert run(["feasible", pants_file, "--z", z]) == cli.EXIT_NO_CONVERGENCE
     assert "linear program failed" in capsys.readouterr().err
+
+
+def test_feasible_lists_certificate_cycle(pants_file, tmp_path, capsys):
+    good = write_coords(tmp_path, "good.json", {"e0": 1, "e1": 1, "e2": 1})
+    assert run(["feasible", pants_file, "--z", good]) == 0
+    assert "certificate_cycle" not in json.loads(capsys.readouterr().out)
+    bad = write_coords(tmp_path, "bad.json", {"e0": -3, "e1": 1, "e2": 1})
+    assert run(["feasible", pants_file, "--z", bad]) == cli.EXIT_INFEASIBLE
+    doc = json.loads(capsys.readouterr().out)
+    # a least-mean cycle crosses e0 and one other edge: mean (-3 + 1) / 2
+    cycle = doc["certificate_cycle"]
+    assert len(cycle) == 2 and "e0" in cycle
+    assert doc["lp_min"] == -1.0
+    assert doc["certificate"] == {e: cycle.count(e) / 2 for e in ("e0", "e1", "e2")}

@@ -1,7 +1,15 @@
 """Feasibility polytope, duality cross-check, interior points."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexmetric import coords, polytope, solver
 from hexmetric.polytope import (
@@ -140,3 +148,136 @@ def test_large_complex_witness_and_certificate():
     assert np.all(y >= -1e-9)
     assert np.all(polytope.cone_inequalities(cx) @ y >= -1e-9)
     assert float(z_bad @ y) <= polytope.TAU_FEAS
+
+
+# --- the margin LP as a minimum cycle mean -----------------------------------
+
+# lp_min and status of the margin LP, recorded with scipy's HiGHS LP solver
+# (the solver this module used before the minimum-mean-cycle form) on
+# feasible, infeasible and exact-boundary z; "seeded" entries name
+# seeded_complex(n, seed)
+MARGIN_PIN = json.loads((Path(__file__).parent / "data" / "margin_pin.json").read_text())
+
+
+def test_margin_lp_matches_pinned_highs_optimum(all_fixtures):
+    assert {c["status"] for c in MARGIN_PIN} == {"feasible", "infeasible", "boundary"}
+    for case in MARGIN_PIN:
+        if case["complex"] == "seeded":
+            cx = seeded_complex(case["n"], case["seed"])
+        else:
+            cx = all_fixtures[case["complex"]]
+        rep = check_feasibility(cx, np.array(case["z"]))
+        assert abs(rep.lp_min - case["lp_min"]) < 1e-12, case
+        assert rep.status == case["status"]
+
+
+def karp_min_mean(cx, z):
+    """Minimum cycle mean of the margin LP's constraint graph (Karp 1978).
+
+    Row w, with hexagon-mates u and v, reads l(u') <= l(v) + b - mu and
+    l(v') <= l(u) + b - mu over the literals of the facing arcs u', v',
+    with b = (z(e(u)) + z(e(v))) / 2: steps v -> u' and u -> v' of weight
+    b.  d[j, a] is the least weight of a j-step walk ending at a, and the
+    minimum mean is min_a max_j (d[N, a] - d[j, a]) / (N - j).
+    """
+    mate = {a: b for e in range(cx.num_edges) for a, b in (cx.facing_arcs(e), cx.facing_arcs(e)[::-1])}
+    steps = []
+    for h in range(cx.n):
+        for u, v in ((3 * h, 3 * h + 1), (3 * h + 1, 3 * h + 2), (3 * h + 2, 3 * h)):
+            b = 0.5 * (z[cx.arc_edge[u]] + z[cx.arc_edge[v]])
+            steps += [(v, mate[u], b), (u, mate[v], b)]
+    src, dst, wt = (np.array(c) for c in zip(*steps))
+    k = cx.num_arcs
+    d = np.zeros((k + 1, k))
+    for j in range(1, k + 1):
+        d[j] = np.inf
+        np.minimum.at(d[j], dst, d[j - 1][src] + wt)
+    return float(np.min(np.max((d[k] - d[:k]) / (k - np.arange(k))[:, None], axis=0)))
+
+
+@given(
+    n=st.sampled_from([2, 4, 6, 8]),
+    seed=st.integers(0, 2**16),
+    z_seed=st.integers(0, 2**16),
+    near_ties=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_margin_lp_matches_karp(n, seed, z_seed, near_ties):
+    cx = seeded_complex(n, seed)
+    rng = np.random.default_rng(z_seed)
+    if near_ties:
+        # small integers make many cycles tie; 1e-9 splits the ties by
+        # far less than the values but far more than the tolerance
+        z = rng.integers(-1, 3, cx.num_edges) + 1e-9 * rng.uniform(size=cx.num_edges)
+    else:
+        z = rng.uniform(-1.0, 1.5, cx.num_edges)
+    assert check_feasibility(cx, z).lp_min == pytest.approx(karp_min_mean(cx, z), abs=1e-12)
+
+
+def _assert_certificate_cycle(cx, z):
+    rep = check_feasibility(cx, z)
+    assert not rep.feasible
+    cycle = rep.certificate_cycle
+    # consecutive edges, the last and the first too, bound a common hexagon
+    hexagons = [set(np.flatnonzero((cx.hex_edges == e).any(axis=1))) for e in cycle]
+    for i in range(len(cycle)):
+        assert hexagons[i] & hexagons[i - 1], (i, cycle)
+    assert z[cycle].sum() <= 0.0
+    counts = np.bincount(cycle, minlength=cx.num_edges)
+    assert np.max(np.abs(rep.certificate - counts / len(cycle))) <= 1e-15
+    assert rep.lp_min == pytest.approx(z[cycle].sum() / len(cycle), abs=1e-12)
+
+
+def test_certificate_is_an_edge_cycle(pants):
+    _assert_certificate_cycle(pants, np.array([-3.0, 1.0, 1.0]))
+    _assert_certificate_cycle(pants, np.array([-1.0, 1.0, 1.0]))
+    cx = seeded_complex(32, 20251032)
+    z, _, _ = solver.forward_map(cx, np.random.default_rng(4).uniform(0.3, 3.0, cx.num_edges))
+    _assert_certificate_cycle(cx, z - 1.5 * check_feasibility(cx, z).lp_min)
+    _assert_certificate_cycle(cx, np.random.default_rng(5).uniform(-1.0, 1.5, cx.num_edges))
+
+
+def test_non_finite_coordinate_rejected(pants):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            check_feasibility(pants, np.array([bad, 1.0, 1.0]))
+
+
+def test_bellman_ford_potentials_for_two_classes(monkeypatch):
+    # nodes 0 <-> 1 form a cycle of mean 1 and nodes 2 <-> 3 one of mean
+    # 3 (2 also has a self-loop of weight 4); node 0 may step into
+    # {2, 3}, but nothing leaves it, so the final policy has mean 1 on
+    # {0, 1} and 3 on {2, 3}, and the potentials come from Bellman-Ford
+    succ = np.array([[1, 2], [0, 0], [3, 2], [2, 2]])
+    w = np.array([[0.5, 0.5], [1.5, 1.5], [3.0, 4.0], [3.0, 3.0]])
+    calls = []
+    bellman_ford = polytope._bellman_ford
+    monkeypatch.setattr(polytope, "_bellman_ford", lambda *a: calls.append(a) or bellman_ford(*a))
+    mu, d, cycle = polytope._min_mean_cycle(succ, w)
+    assert len(calls) == 1
+    assert mu == 1.0
+    assert sorted(cycle.tolist()) == [0, 1]
+    assert np.all(d[succ] <= d[:, None] + w - mu + 1e-12)
+    # above the minimum mean, the cycle 0 <-> 1 is negative
+    with pytest.raises(polytope.LPError):
+        bellman_ford(succ, w, 1.5)
+
+
+def test_feasibility_does_not_import_scipy_optimize():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from hexmetric import polytope, realize, solver\n"
+        "from hexmetric.surface import HexComplex\n"
+        "cx = HexComplex(n=2, gluings=[((0, 1), (1, 1), False), ((0, 3), (1, 3), False),"
+        " ((0, 5), (1, 5), False)])\n"
+        "z, _, _ = solver.forward_map(cx, np.array([0.9, 1.1, 1.3]))\n"
+        "assert polytope.check_feasibility(cx, z).feasible\n"
+        "t, _ = solver.maximize(cx, z)\n"
+        "assert realize.verify_metric(cx, solver.extract_metric(cx, t)).ok\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(polytope.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
