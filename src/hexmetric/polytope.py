@@ -30,8 +30,8 @@ TAU_FEAS = 1e-9
 
 class LPError(RuntimeError):
     """The minimum-mean-cycle solve behind the margin LP did not settle:
-    Howard's policy iteration ran past MAX_POLICIES policies, or the
-    Bellman-Ford fallback found a cycle below the minimum mean."""
+    Howard's policy iteration ran past MAX_POLICIES policies, or its
+    final policy's cycles have different means."""
 
 
 class InfeasibleCoordinateError(ValueError):
@@ -152,7 +152,9 @@ def _min_mean_cycle(succ: np.ndarray, w: np.ndarray):
     Returns (mu, d, cycle): the least mean weight of a cycle, potentials
     d with d[succ] <= d[:, None] + w - mu up to rounding, and the nodes
     of a cycle of mean mu in walk order.  Raises LPError when the
-    iteration does not settle within MAX_POLICIES policies.
+    iteration does not settle within MAX_POLICIES policies, or when the
+    graph is not strongly connected and the final policy keeps cycles
+    of different means.
     """
     nodes = np.arange(len(succ))
     levels = (len(succ) - 1).bit_length()
@@ -178,31 +180,16 @@ def _min_mean_cycle(succ: np.ndarray, w: np.ndarray):
     else:
         raise LPError(f"policy iteration did not settle in {MAX_POLICIES} policies")
     mu = float(eta.min())
+    # the arc graph of a connected complex with every slot glued is the
+    # non-backtracking graph of a connected cubic graph, so strongly
+    # connected, and then the mean stage leaves a single class
+    if eta.max() - mu > tol:
+        raise LPError("policy iteration ended with cycles of different means")
     start = root[np.argmin(eta)]
     cycle = [start]
     while (a := nxt[cycle[-1]]) != start:
         cycle.append(a)
-    # a single class has d = -h; otherwise h only orders the nodes
-    # within each class and the potentials come from Bellman-Ford
-    d = -h if eta.max() - mu <= tol else _bellman_ford(succ, w, mu)
-    return mu, d, np.array(cycle)
-
-
-def _bellman_ford(succ: np.ndarray, w: np.ndarray, mu: float) -> np.ndarray:
-    """Potentials d with d[succ] <= d[:, None] + w - mu: shortest
-    distances under w - mu from a source joined to every node at weight
-    0.  There is no negative cycle when mu is the minimum cycle mean, so
-    they settle within len(succ) rounds."""
-    slack = w - mu
-    tol = 1e-12 * np.abs(slack).max()
-    d = np.zeros(len(succ))
-    for _ in range(len(succ) + 1):
-        new = d.copy()
-        np.minimum.at(new, succ, d[:, None] + slack)
-        if not np.any(new < d - tol):
-            return new
-        d = new
-    raise LPError("Bellman-Ford found a cycle below the minimum mean")
+    return mu, -h, np.array(cycle)
 
 
 def _margin_lp(cx: HexComplex, z: np.ndarray):

@@ -243,24 +243,15 @@ def test_non_finite_coordinate_rejected(pants):
             check_feasibility(pants, np.array([bad, 1.0, 1.0]))
 
 
-def test_bellman_ford_potentials_for_two_classes(monkeypatch):
+def test_two_classes_raise_lp_error():
     # nodes 0 <-> 1 form a cycle of mean 1 and nodes 2 <-> 3 one of mean
-    # 3 (2 also has a self-loop of weight 4); node 0 may step into
-    # {2, 3}, but nothing leaves it, so the final policy has mean 1 on
-    # {0, 1} and 3 on {2, 3}, and the potentials come from Bellman-Ford
+    # 3; node 0 may step into {2, 3}, but nothing leaves it, so the final
+    # policy keeps both means (an arc graph is strongly connected, so
+    # this cannot happen there)
     succ = np.array([[1, 2], [0, 0], [3, 2], [2, 2]])
     w = np.array([[0.5, 0.5], [1.5, 1.5], [3.0, 4.0], [3.0, 3.0]])
-    calls = []
-    bellman_ford = polytope._bellman_ford
-    monkeypatch.setattr(polytope, "_bellman_ford", lambda *a: calls.append(a) or bellman_ford(*a))
-    mu, d, cycle = polytope._min_mean_cycle(succ, w)
-    assert len(calls) == 1
-    assert mu == 1.0
-    assert sorted(cycle.tolist()) == [0, 1]
-    assert np.all(d[succ] <= d[:, None] + w - mu + 1e-12)
-    # above the minimum mean, the cycle 0 <-> 1 is negative
-    with pytest.raises(polytope.LPError):
-        bellman_ford(succ, w, 1.5)
+    with pytest.raises(polytope.LPError, match="different means"):
+        polytope._min_mean_cycle(succ, w)
 
 
 def test_feasibility_does_not_import_scipy_optimize():

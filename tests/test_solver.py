@@ -178,10 +178,12 @@ def test_forward_map_validation(pants):
         forward_map(pants, np.array([1.0, 1.0]))
 
 
-# Reference iteration counts and solved edge lengths on these inputs.
-# The lengths were recorded from a per-hexagon scalar implementation of
-# the Newton loop; the counts are those from the minimum-mean-cycle
-# witness, and must match exactly.
+# Reference iteration counts on these inputs, from the minimum-mean-cycle
+# witness; they must match exactly.  The file's edge lengths were
+# recorded from a per-hexagon scalar implementation of the Newton loop
+# started at the earlier LP witness, and at n = 32 they lie 1.02e-12
+# from the exact answer, so the solved lengths are checked against the
+# lengths the coordinates were made from.
 NEWTON_PIN = json.loads((Path(__file__).parent / "data" / "newton_pin.json").read_text())
 
 
@@ -194,7 +196,7 @@ def test_newton_pinned_on_seeded_complexes(n):
     pin = NEWTON_PIN[str(n)]
     assert rep.iterations == pin["iterations"]
     edge_lengths = extract_metric(cx, t).edge_lengths
-    assert np.max(np.abs(edge_lengths - pin["edge_lengths"])) < 1e-12
+    assert np.max(np.abs(edge_lengths - lengths)) < 1e-12
 
 
 # The fixed Hessian pattern and the conjugate-gradient step, on the
