@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import coords, hexgeom, polytope, realize, solver, surface
+from . import polytope, realize, solver, surface
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -68,7 +68,10 @@ def _load_edge_values(path: str, cx: surface.HexComplex) -> np.ndarray:
         if label in seen:
             raise InputError(f"duplicate edge key {key!r}")
         seen.add(label)
-        values[cx.label_index(label)] = float(v)
+        try:
+            values[cx.label_index(label)] = float(v)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"edge key {key!r}: {v!r} is not a number") from exc
     missing = [lab for lab in cx.labels if lab not in seen]
     if missing:
         raise InputError(f"missing edge keys: {', '.join(missing)}")
@@ -258,14 +261,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InputError,
-        surface.InvalidComplexError,
-        coords.CoordinateError,
-        hexgeom.DomainError,
-        ValueError,
-        ArithmeticError,  # overflow or division by zero: input beyond the numeric range
-    ) as exc:
+    # every error of bad input (InputError, InvalidComplexError,
+    # CoordinateError, DomainError) is a ValueError; ArithmeticError is
+    # overflow or division by zero: input beyond the numeric range
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except polytope.LPError as exc:

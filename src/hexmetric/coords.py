@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .surface import OPPOSITE_ARC, EdgeCycle, HexComplex
+from .surface import EdgeCycle, HexComplex
 
 
 class CoordinateError(ValueError):
@@ -89,10 +89,3 @@ def boundary_z_sums(cx: HexComplex, z: np.ndarray) -> np.ndarray:
     if z.shape != (cx.num_edges,):
         raise CoordinateError(f"expected {cx.num_edges} edge values, got shape {z.shape}")
     return np.bincount(cx.arc_boundary, weights=z[cx.arc_boundary_edge])
-
-
-def hexagon_x_triples(cx: HexComplex, x: np.ndarray) -> list[tuple[float, float, float]]:
-    """Per hexagon, its x-lengths ordered so that entry i is opposite
-    the y-slot at position 2i+1 (arc positions 4, 0, 2)."""
-    xs = _as_arc_array(cx, x).reshape(cx.n, 3)
-    return list(map(tuple, xs[:, OPPOSITE_ARC].tolist()))

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit, spence
 
 Triple = tuple[float, float, float]
 
@@ -75,6 +74,8 @@ def lambda1(u):
     Odd in u.  Closed form uses ln cosh s = s - ln 2 + ln(1 + e^{-2s}).
     Elementwise on arrays.
     """
+    from scipy.special import spence
+
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise DomainError(f"lambda1 requires finite u, got {u}")
@@ -91,6 +92,8 @@ def lambda2(u):
     The integrand has an integrable log singularity at 0; the closed form
     below is finite on [0, inf) with lambda2(0) = 0.  Elementwise on arrays.
     """
+    from scipy.special import spence
+
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0.0) & np.isfinite(u)):
         raise DomainError(f"lambda2 requires u >= 0, got {u}")
@@ -133,20 +136,6 @@ def cosine_law_x(y):
     y = np.asarray(y, dtype=float)
     _check_positive(y, "y")
     return cosine_law_y(y)
-
-
-def x_to_t(x):
-    """Half-difference coordinates t_i = (x_j + x_k - x_i)/2."""
-    x = np.asarray(x, dtype=float)
-    _check_positive(x, "x")
-    return 0.5 * (x[..., _J] + x[..., _K] - x)
-
-
-def t_to_x(t):
-    """Inverse of x_to_t: x_i = t_j + t_k.  Requires t in closed H3."""
-    t = np.asarray(t, dtype=float)
-    _require_closed_h3(t)
-    return t[..., _J] + t[..., _K]
 
 
 def pair_sums(t):
@@ -207,6 +196,8 @@ def theta_hessian(t):
     form -[p(T) 11^T + diag p(t) + sum_k q(x_k) (e_i + e_j)(e_i + e_j)^T]
     (tanh = 1 - 2p, coth = 1 + 2q); -H is strictly diagonally dominant, as
     p(t_i) > p(T).  A row whose diagonal underflows to 0 raises DomainError."""
+    from scipy.special import expit
+
     t = np.asarray(t, dtype=float)
     _require_open_h3(t)
     with _raising():

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coords
-from .surface import EdgeCycle, HexComplex
+from .surface import HexComplex
 
 TAU_FEAS = 1e-9
 
@@ -249,18 +249,6 @@ def check_feasibility(cx: HexComplex, z, tol: float = TAU_FEAS) -> PolytopeRepor
     """
     z = np.asarray(z, dtype=float)
     return _report(cx, z, tol, *_margin_lp(cx, z))
-
-
-def check_cycles(cx: HexComplex, z, cycles: list[EdgeCycle]) -> list[tuple[EdgeCycle, float]]:
-    """Cycles whose z-sum is nonpositive (violations of the open
-    polytope's strict inequalities)."""
-    z = np.asarray(z, dtype=float)
-    out = []
-    for cyc in cycles:
-        s = float(z[list(cyc.edges)].sum())
-        if s <= 0.0:
-            out.append((cyc, s))
-    return out
 
 
 def interior_point(cx: HexComplex, z, tol: float = TAU_FEAS) -> np.ndarray:

@@ -1,17 +1,16 @@
 """Explicit hexagon construction in the hyperboloid model.
 
-Independent geometric oracle: each right-angled hexagon is built
-vertex-by-vertex on the sheet x0 > 0 of <p,p> = -1 in Minkowski
-3-space, by walking its boundary (translate along a side, turn a right
-angle) and measuring everything back.  All hexagons are walked at once,
-as (n, 3) arrays, still sharing no code with the energy: of `hexgeom`
-only the cosine law is used, to get the y-sides to walk.  This
-validates the cosine-law arithmetic and the solved metrics.
+Independent geometric oracle: `realize_hexagons` builds a stack of
+right-angled hexagons, given as (n, 3) x-side triples, vertex-by-vertex
+on the sheet x0 > 0 of <p,p> = -1 in Minkowski 3-space, by walking
+their boundaries (translate along a side, turn a right angle) and
+measuring everything back.  It shares no code with the energy: of
+`hexgeom` only the cosine law is used, to get the y-sides to walk.
+`verify_metric` audits a solved metric with it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,14 +41,6 @@ def distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     not round distances below ~1e-8 to zero."""
     d = p - q
     return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(minkowski_dot(d, d), 0.0)))
-
-
-@dataclass
-class HexRealization:
-    vertices: list[np.ndarray]  # 6 points, cyclic
-    side_lengths: list[float]  # measured, alternating x1,y3,x2,y1,x3,y2
-    angle_residual: float  # max |<t_in, t_out>| over the corners
-    closure_residual: float  # distance between the two ends of the walk
 
 
 def realize_hexagons(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -103,45 +94,6 @@ def realize_hexagons(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         t_next = _unit(after + minkowski_dot(vertices, after)[..., None] * vertices)
         angle = np.max(np.abs(minkowski_dot(t_prev, t_next)), axis=1)
     return vertices, measured, angle, closure
-
-
-def realize_hexagon(x: tuple[float, float, float]) -> HexRealization:
-    """The one hexagon of realize_hexagons with x-sides x."""
-    vertices, measured, angle, closure = realize_hexagons(np.reshape(x, (1, 3)))
-    return HexRealization(
-        vertices=list(vertices[0]),
-        side_lengths=measured[0].tolist(),
-        angle_residual=float(angle[0]),
-        closure_residual=float(closure[0]),
-    )
-
-
-def measured_xy(r: HexRealization) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """(x-triple, y-triple) read off a realization's side lengths."""
-    s = r.side_lengths
-    return (s[0], s[2], s[4]), (s[3], s[5], s[1])
-
-
-def random_isometry(rng: np.random.Generator) -> np.ndarray:
-    """A random orientation-preserving Minkowski isometry (rotation
-    composed with a boost), for invariance tests."""
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    rot = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, math.cos(phi), -math.sin(phi)],
-            [0.0, math.sin(phi), math.cos(phi)],
-        ]
-    )
-    d = rng.uniform(-1.0, 1.0)
-    boost = np.array(
-        [
-            [math.cosh(d), math.sinh(d), 0.0],
-            [math.sinh(d), math.cosh(d), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    return rot @ boost
 
 
 def _law_defined(x: np.ndarray) -> bool:

@@ -139,12 +139,6 @@ def _newton_system(cx: HexComplex, t: np.ndarray):
     return g_s, neg_h
 
 
-def _grad_hess_s(cx: HexComplex, t: np.ndarray):
-    """Gradient and Hessian (CSR) of the energy in the free coordinates s."""
-    g_s, neg_h = _newton_system(cx, t)
-    return g_s, -neg_h
-
-
 def _pcg(a, b: np.ndarray, inv_diag: np.ndarray) -> tuple[np.ndarray, int]:
     """Diagonally preconditioned conjugate gradients for a x = b, a
     symmetric positive definite: stops when ||r|| <= _CG_RTOL ||b|| or

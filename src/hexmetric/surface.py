@@ -54,19 +54,6 @@ class EdgeCycle:
     edges: tuple[int, ...]
     corner_arcs: tuple[int, ...]
 
-    def multiplicities(self, num_edges: int) -> tuple[int, ...]:
-        counts = [0] * num_edges
-        for e in self.edges:
-            counts[e] += 1
-        return tuple(counts)
-
-    @property
-    def fundamental(self) -> bool:
-        counts: dict[int, int] = {}
-        for e in self.edges:
-            counts[e] = counts.get(e, 0) + 1
-        return all(c <= 2 for c in counts.values())
-
 
 class HessianPattern(NamedTuple):
     """Fixed CSR sparsity pattern of the (m, m) reduced Hessian.
@@ -255,17 +242,8 @@ class HexComplex:
 
     # -- indexing ----------------------------------------------------
 
-    def arc_index(self, slot: Slot) -> int:
-        h, p = slot
-        if p % 2 != 0:
-            raise InvalidComplexError(f"slot {slot} is not an x-slot")
-        return 3 * h + p // 2
-
     def arc_slot(self, arc: int) -> Slot:
         return (arc // 3, 2 * (arc % 3))
-
-    def arcs_of_hexagon(self, h: int) -> tuple[int, int, int]:
-        return (3 * h, 3 * h + 1, 3 * h + 2)
 
     def edges_of_hexagon(self, h: int) -> tuple[int, int, int]:
         """Edges at y-positions 1, 3, 5 (with repetition if self-glued)."""
@@ -406,6 +384,12 @@ def build(doc: dict) -> HexComplex:
         raw = doc["gluings"]
     except (KeyError, TypeError) as exc:
         raise InvalidComplexError(f"malformed triangulation description: {exc}") from exc
+    labels = doc.get("labels", [])
+    for key, value in (("gluings", raw), ("labels", labels)):
+        if not isinstance(value, (list, tuple)):
+            raise InvalidComplexError(f"{key!r} must be a list, got {value!r}")
+    if not all(isinstance(label, str) for label in labels):
+        raise InvalidComplexError(f"'labels' must be strings, got {labels!r}")
     gluings = []
     for g in raw:
         try:
@@ -415,5 +399,4 @@ def build(doc: dict) -> HexComplex:
         except (KeyError, TypeError, IndexError) as exc:
             raise InvalidComplexError(f"malformed gluing entry {g!r}") from exc
         gluings.append((a, b, rev))
-    labels = list(doc.get("labels", []))
-    return HexComplex(n=n, gluings=gluings, labels=labels)
+    return HexComplex(n=n, gluings=gluings, labels=list(labels))

@@ -233,6 +233,25 @@ def test_numeric_range_errors_exit_input(pants_file, tmp_path, capsys, command, 
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "doc_update, e1, message",
+    [
+        ({}, None, "'e1'"),
+        ({}, {}, "'e1'"),
+        ({"gluings": 5}, 1.0, "'gluings'"),
+        ({"labels": 5}, 1.0, "'labels'"),
+        ({"labels": [1, 2, 3]}, 1.0, "'labels'"),
+    ],
+    ids=["null-value", "object-value", "gluings-not-list", "labels-not-list", "labels-not-str"],
+)
+def test_malformed_input_exits_input(tmp_path, capsys, doc_update, e1, message):
+    cx_file = write_coords(tmp_path, "cx.json", dict(PANTS_DOC, **doc_update))
+    z_file = write_coords(tmp_path, "z.json", {"e0": 1.0, "e1": e1, "e2": 1.0})
+    assert run(["feasible", cx_file, "--z", z_file]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def _assert_solve_refused_by_audit(pants_file, tmp_path, capsys, value):
     z = write_coords(tmp_path, "z.json", {"e0": value, "e1": value, "e2": value})
     assert run(["solve", pants_file, "--z", z]) == cli.EXIT_VERIFY

@@ -61,13 +61,12 @@ def test_boundary_lengths_and_z_sums_agree(all_fixtures):
             assert np.max(np.abs(bl - bz)) < 1e-12
 
 
-def test_hexagon_x_triples_opposite_convention(pants):
-    x = random_lengths(RNG, 6)
-    triples = coords.hexagon_x_triples(pants, x)
-    for h in range(2):
-        for i, q in enumerate((1, 3, 5)):
-            opposite = pants.arc_index((h, (q + 3) % 6))
-            assert triples[h][i] == x[opposite]
+def test_facing_arc_opposite_convention(all_fixtures):
+    # the arc facing edge e across y-slot (h, q) is the x-slot (h, q + 3)
+    for cx in all_fixtures.values():
+        for e, (a, b, _) in enumerate(cx.gluings):
+            for side, (h, q) in enumerate((a, b)):
+                assert cx.arc_slot(cx.edge_arcs[e, side]) == (h, (q + 3) % 6)
 
 
 def test_input_validation(pants):

@@ -56,14 +56,6 @@ def test_sine_law(x):
     assert max(ratios) - min(ratios) < 1e-12 * max(ratios)
 
 
-def test_x_t_round_trip():
-    for _ in range(200):
-        x = tuple(RNG.uniform(0.05, 5.0, 3))
-        t = hexgeom.x_to_t(x)
-        back = hexgeom.t_to_x(t)
-        assert max(abs(a - b) for a, b in zip(back, x)) < 1e-12
-
-
 def test_theta_frozen_values():
     # frozen from the quadrature oracle for the antiderivatives
     assert hexgeom.theta((1.0, 1.0, 1.0)) == pytest.approx(
@@ -128,7 +120,7 @@ def test_grad_components_are_lncosh_half_y():
     for _ in range(200):
         t = random_t(RNG, low=0.05)
         g = hexgeom.theta_grad(t)
-        y = hexgeom.cosine_law_y(hexgeom.t_to_x(t))
+        y = hexgeom.cosine_law_y([sum(t) - ti for ti in t])  # x_i = t_j + t_k
         for i in range(3):
             assert g[i] == pytest.approx(math.log(math.cosh(y[i] / 2.0)), abs=1e-12)
             assert g[i] > 0.0
@@ -251,8 +243,6 @@ def test_slice_bounds():
 def test_domain_errors():
     with pytest.raises(hexgeom.DomainError):
         hexgeom.cosine_law_y((1.0, -1.0, 1.0))
-    with pytest.raises(hexgeom.DomainError):
-        hexgeom.t_to_x((1.0, 1.0, -3.0))
     with pytest.raises(hexgeom.DomainError):
         hexgeom.theta_grad((1.0, -1.0, 2.0))  # on the closed face t1+t2=0
     with pytest.raises(hexgeom.DomainError):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hexmetric import coords, polytope, solver
 from hexmetric.polytope import (
     InfeasibleCoordinateError,
-    check_cycles,
     check_feasibility,
     interior_point,
 )
@@ -73,13 +72,12 @@ def test_duality_against_enumeration(all_fixtures):
         for _ in range(334):
             z = RNG.uniform(-1.0, 1.5, cx.num_edges)
             rep = check_feasibility(cx, z)
-            violations = check_cycles(cx, z, cycles)
             margin = min(
                 sum(z[e] for e in cyc.edges) for cyc in cycles
             )
             if abs(margin) < 1e-7:
                 continue  # too close to the boundary to compare verdicts
-            assert rep.feasible == (not violations), (z, margin, rep.lp_min)
+            assert rep.feasible == (margin > 0), (z, margin, rep.lp_min)
             if not rep.feasible:
                 y = rep.certificate
                 assert float(z @ y) <= polytope.TAU_FEAS
@@ -264,6 +262,7 @@ def test_feasibility_does_not_import_scipy_optimize():
         " ((0, 5), (1, 5), False)])\n"
         "z, _, _ = solver.forward_map(cx, np.array([0.9, 1.1, 1.3]))\n"
         "assert polytope.check_feasibility(cx, z).feasible\n"
+        "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
         "t, _ = solver.maximize(cx, z)\n"
         "assert realize.verify_metric(cx, solver.extract_metric(cx, t)).ok\n"
         "print('scipy.optimize' in sys.modules)\n"
@@ -271,4 +270,6 @@ def test_feasibility_does_not_import_scipy_optimize():
     src = str(Path(polytope.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    # no scipy module before the first energy evaluation; no
+    # scipy.optimize at all
+    assert out.stdout.split() == ["False", "False"]

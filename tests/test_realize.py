@@ -8,11 +8,8 @@ import pytest
 from hexmetric import hexgeom, realize, solver
 from hexmetric.realize import (
     distance,
-    measured_xy,
     minkowski_dot,
     normalize_point,
-    random_isometry,
-    realize_hexagon,
     realize_hexagons,
     verify_metric,
 )
@@ -25,6 +22,28 @@ RNG = np.random.default_rng(20240815)
 def random_point(rng):
     v = rng.uniform(-1.5, 1.5, 2)
     return normalize_point(np.array([math.sqrt(1.0 + v @ v), v[0], v[1]]))
+
+
+def random_isometry(rng: np.random.Generator) -> np.ndarray:
+    """A random orientation-preserving Minkowski isometry (rotation
+    composed with a boost)."""
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    rot = np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [0.0, math.cos(phi), -math.sin(phi)],
+            [0.0, math.sin(phi), math.cos(phi)],
+        ]
+    )
+    d = rng.uniform(-1.0, 1.0)
+    boost = np.array(
+        [
+            [math.cosh(d), math.sinh(d), 0.0],
+            [math.sinh(d), math.cosh(d), 0.0],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+    return rot @ boost
 
 
 def test_distance_properties():
@@ -60,21 +79,17 @@ def test_points_stay_on_hyperboloid():
 
 
 def test_realization_matches_cosine_law_random_triples():
-    # 1000 random x-triples: the measured hexagon agrees with the
-    # arithmetic cosine law to 1e-9
-    worst = 0.0
-    for _ in range(1000):
-        x = tuple(RNG.uniform(0.3, 3.0, 3))
-        r = realize_hexagon(x)
-        mx, my = measured_xy(r)
-        y = hexgeom.cosine_law_y(x)
-        err = max(
-            r.closure_residual,
-            r.angle_residual,
-            max(abs(a - b) for a, b in zip(mx, x)),
-            max(abs(a - b) for a, b in zip(my, y)),
-        )
-        worst = max(worst, err)
+    # 1000 random x-triples: the measured hexagons agree with the
+    # arithmetic cosine law to 1e-9; sides run x1, y3, x2, y1, x3, y2
+    x = RNG.uniform(0.3, 3.0, (1000, 3))
+    _, measured, angle, closure = realize_hexagons(x)
+    y = hexgeom.cosine_law_y(x)
+    worst = max(
+        closure.max(),
+        angle.max(),
+        np.abs(measured[:, 0::2] - x).max(),
+        np.abs(measured[:, [3, 5, 1]] - y).max(),
+    )
     assert worst < 1e-9, worst
 
 
@@ -82,22 +97,18 @@ def test_realization_long_sided_hexagons():
     # short x-sides give long y-sides; coordinates grow like
     # e^distance, and the residuals must still stay below the audit's
     # 1e-8 gate
-    worst = 0.0
-    for _ in range(300):
-        x = tuple(np.exp(RNG.uniform(math.log(0.1), math.log(4.0), 3)))
-        r = realize_hexagon(x)
-        mx, _ = measured_xy(r)
-        err = max(abs(a - b) for a, b in zip(mx, x))
-        worst = max(worst, r.closure_residual, r.angle_residual, err)
+    x = np.exp(RNG.uniform(math.log(0.1), math.log(4.0), (300, 3)))
+    _, measured, angle, closure = realize_hexagons(x)
+    worst = max(closure.max(), angle.max(), np.abs(measured[:, 0::2] - x).max())
     assert worst < 1e-8, worst
 
 
 def test_realization_symmetric_hexagon():
     u = math.acosh(2.0)
-    r = realize_hexagon((u, u, u))
-    assert max(abs(s - u) for s in r.side_lengths) < 1e-12
-    assert r.closure_residual < 1e-12
-    assert r.angle_residual < 1e-12
+    _, measured, angle, closure = realize_hexagons([(u, u, u)])
+    assert np.abs(measured - u).max() < 1e-12
+    assert closure[0] < 1e-12
+    assert angle[0] < 1e-12
 
 
 def test_verify_metric_accepts_converged_solution(pants):
@@ -146,11 +157,9 @@ def test_stacked_walk_matches_single_hexagons():
     vertices, measured, angle, closure = realize_hexagons(rows)
     assert set(np.argmax(measured, axis=1)) == set(range(6))
     for h, x in enumerate(rows):
-        r = realize_hexagon(tuple(x))
-        assert np.max(np.abs(vertices[h] - np.array(r.vertices))) <= 1e-12
-        assert np.max(np.abs(measured[h] - r.side_lengths)) <= 1e-12
-        assert abs(angle[h] - r.angle_residual) <= 1e-12
-        assert abs(closure[h] - r.closure_residual) <= 1e-12
+        one = realize_hexagons(x[None])
+        for stacked, single in zip((vertices, measured, angle, closure), one):
+            assert np.max(np.abs(stacked[h] - single[0])) <= 1e-12
 
 
 def test_verify_metric_at_scale():
