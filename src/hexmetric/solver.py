@@ -14,8 +14,12 @@ Each Newton quantity is one hexgeom call on the (n, 3) array of all
 hexagons' t-triples, scattered to the edges through the complex's
 incidence arrays.  The reduced Hessian has 9 block entries per hexagon,
 scattered into a CSR sparsity pattern fixed once per complex
-(`HexComplex.hessian_pattern`); each Newton step solves it with a
-short diagonally preconditioned conjugate-gradient loop.
+(`HexComplex.hessian_pattern`).  On complexes of at most
+`_DIRECT_MAX_EDGES` edges each Newton step solves it as a dense matrix
+with LAPACK, which is cheaper there than the two dozen or so Python-level
+iterations an iterative solve takes; above that size the dense solve's
+cubic cost overtakes, and a short diagonally preconditioned
+conjugate-gradient loop on the sparse matrix solves it instead.
 """
 
 from __future__ import annotations
@@ -60,7 +64,9 @@ class SolveReport:
     energy: float
     achieved_z: np.ndarray
     converged: bool
-    cg_iterations: int = 0  # conjugate-gradient iterations over all Newton steps
+    # conjugate-gradient iterations over all Newton steps; 0 when every
+    # step was a dense solve (complexes of at most _DIRECT_MAX_EDGES edges)
+    cg_iterations: int = 0
 
 
 @dataclass
@@ -77,6 +83,10 @@ class HyperbolicMetric:
 
 # relative residual at which the Newton system's iterative solve stops
 _CG_RTOL = 1e-12
+
+# most edges at which a Newton step is a dense solve rather than CG: the
+# measured crossover of np.linalg.solve and _pcg per step (one BLAS thread)
+_DIRECT_MAX_EDGES = 192
 
 
 class SolveError(RuntimeError):
@@ -200,11 +210,18 @@ def maximize(
                 cg_iterations=cg_iterations,
             )
             return t, report
-        # -H is symmetric positive definite and diagonally dominant, so
-        # diagonally preconditioned CG converges fast (a sparse LU fills
-        # in); an inexact step is still an ascent direction.
-        step, k = _pcg(neg_h, g_s, 1.0 / neg_h.data[cx.hessian_pattern.diagonal])
-        cg_iterations += k
+        # -H is symmetric positive definite.  A small one is solved dense;
+        # a large one is diagonally dominant, so diagonally preconditioned
+        # CG converges fast where a sparse LU would fill in and a dense
+        # solve costs m^3.  An inexact step is still an ascent direction.
+        if cx.num_edges <= _DIRECT_MAX_EDGES:
+            try:
+                step = np.linalg.solve(neg_h.toarray(), g_s)
+            except np.linalg.LinAlgError as exc:
+                raise SolveError(f"Newton system is singular: {exc}") from exc
+        else:
+            step, k = _pcg(neg_h, g_s, 1.0 / neg_h.data[cx.hessian_pattern.diagonal])
+            cg_iterations += k
         slope = float(g_s @ step)
         if slope < 0.0:
             raise SolveError("Newton direction is not an ascent direction")

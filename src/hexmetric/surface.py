@@ -16,6 +16,7 @@ them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -375,15 +376,25 @@ class HexComplex:
         return CycleEnumeration(cycles=tuple(cycles), truncated=truncated)
 
 
+def _is_integer(value) -> bool:
+    """True for a JSON number with no fractional part; false for strings,
+    booleans and fractional numbers."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def build(doc: dict) -> HexComplex:
     """Build a complex from the triangulation-file dictionary:
     {"hexagons": n, "gluings": [{"a": [h,p], "b": [h,p], "reversed": bool}],
      "labels": [...] optional}."""
     try:
-        n = int(doc["hexagons"])
+        n = doc["hexagons"]
         raw = doc["gluings"]
     except (KeyError, TypeError) as exc:
         raise InvalidComplexError(f"malformed triangulation description: {exc}") from exc
+    if not _is_integer(n):
+        raise InvalidComplexError(f"'hexagons' must be an integer, got {n!r}")
     labels = doc.get("labels", [])
     for key, value in (("gluings", raw), ("labels", labels)):
         if not isinstance(value, (list, tuple)):
@@ -393,10 +404,19 @@ def build(doc: dict) -> HexComplex:
     gluings = []
     for g in raw:
         try:
-            a = (int(g["a"][0]), int(g["a"][1]))
-            b = (int(g["b"][0]), int(g["b"][1]))
-            rev = bool(g.get("reversed", False))
+            h, p, k, q = slots = (g["a"][0], g["a"][1], g["b"][0], g["b"][1])
+            rev = g.get("reversed", False)
         except (KeyError, TypeError, IndexError) as exc:
             raise InvalidComplexError(f"malformed gluing entry {g!r}") from exc
-        gluings.append((a, b, rev))
-    return HexComplex(n=n, gluings=gluings, labels=list(labels))
+        # plain ints skip the per-value test and conversion, which would
+        # triple the parsing time of a file
+        if not (type(h) is type(p) is type(k) is type(q) is int):
+            if not all(map(_is_integer, slots)):
+                raise InvalidComplexError(f"slot indices in gluing entry {g!r} must be integers")
+            h, p, k, q = map(int, slots)
+        if not isinstance(rev, bool):
+            raise InvalidComplexError(
+                f"'reversed' in gluing entry {g!r} must be true or false, got {rev!r}"
+            )
+        gluings.append(((h, p), (k, q), rev))
+    return HexComplex(n=int(n), gluings=gluings, labels=list(labels))

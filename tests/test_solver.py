@@ -165,6 +165,17 @@ def test_non_convergence_reported(four):
     assert not exc.value.report.converged
 
 
+def test_singular_newton_system_is_a_solve_error(four, monkeypatch):
+    # np.linalg.solve's LinAlgError is a ValueError, which the CLI would
+    # report as bad input; maximize reports it as a failed solve
+    from scipy.sparse import csr_array
+
+    m = four.num_edges
+    monkeypatch.setattr(solver, "_newton_system", lambda cx, t: (np.ones(m), csr_array((m, m))))
+    with pytest.raises(SolveError, match="singular"):
+        maximize(four, np.array([0.3, 1.7, 0.9, 1.1, 0.6, 1.4]))
+
+
 def test_bad_start_rejected(pants):
     z = np.array([1.0, 1.0, 1.0])
     with pytest.raises(SolveError):
@@ -280,9 +291,36 @@ def test_cg_step_near_the_maximizer(pants, torus, four):
         assert k == 0 and not np.any(zero)
 
 
+# Seeded complexes on both sides of the dense-solve cut-off: a closed
+# complex of n hexagons has 3n/2 edges, so 128 hexagons (192 edges) is
+# the largest one solved dense and 130 (195 edges) is solved by CG.
+N_AT_CUTOFF = 128
+N_ABOVE_CUTOFF = 130
+
+
 def test_report_counts_cg_iterations(all_fixtures):
+    # the fixtures are below the cut-off: every step is a dense solve
     for cx in all_fixtures.values():
         z, t0 = _interior_t(cx, 400)
         _, rep = maximize(cx, z, start_t=t0)
         assert rep.iterations >= 1
-        assert rep.iterations <= rep.cg_iterations <= rep.iterations * 10 * cx.num_edges
+        assert rep.cg_iterations == 0
+    # above it, every step takes at least one CG iteration
+    cx = seeded_complex(N_ABOVE_CUTOFF, 400)
+    z, t0 = _interior_t(cx, 400)
+    _, rep = maximize(cx, z, start_t=t0)
+    assert rep.iterations >= 1
+    assert rep.iterations <= rep.cg_iterations <= rep.iterations * 10 * cx.num_edges
+
+
+@pytest.mark.parametrize("n", [N_AT_CUTOFF, N_ABOVE_CUTOFF])
+def test_round_trip_on_both_sides_of_the_dense_cutoff(n):
+    cx = seeded_complex(n, 20261018 + n)
+    assert (cx.num_edges <= solver._DIRECT_MAX_EDGES) == (n == N_AT_CUTOFF)
+    lengths = np.random.default_rng([n, 12]).uniform(0.3, 3.0, cx.num_edges)
+    z, _, _ = forward_map(cx, lengths)
+    # at the default tol of 1e-10 either path may stop one quadratic step
+    # short, with length errors of a few 1e-12; at 1e-12 both reach 1e-13
+    cfg = SolveConfig(tol=1e-12)
+    t, _ = maximize(cx, z, cfg)
+    assert np.max(np.abs(extract_metric(cx, t, cfg).edge_lengths - lengths)) < 1e-12
