@@ -4,7 +4,7 @@ A colored right-angled hyperbolic hexagon has alternating x-sides and
 y-sides, with y_i opposite x_i.  Everything here is a pure function of
 the three x-lengths (or of the half-difference coordinates t_i), namely:
 
-* the cosine law in both directions,
+* the cosine law in both directions, and the y-sides from the gradient,
 * the antiderivatives of ln cosh and ln sinh (via the dilogarithm),
 * the concave per-hexagon energy, its exact gradient and Hessian,
 * a line-integral evaluation of the energy used as an independent check.
@@ -136,6 +136,16 @@ def cosine_law_x(y):
     y = np.asarray(y, dtype=float)
     _check_positive(y, "y")
     return cosine_law_y(y)
+
+
+def y_of_grad(g):
+    """y-side lengths from theta's gradient g_i = ln cosh(y_i/2):
+    y = 2 ln(1 + u + sqrt(u (2 + u))) with u = e^g - 1, which keeps every
+    digit of a short side, where the cosine law rounds its argument to 1."""
+    g = np.asarray(g, dtype=float)
+    with _raising():
+        u = np.expm1(g)
+        return 2.0 * np.log1p(u + np.sqrt(u * (2.0 + u)))
 
 
 def pair_sums(t):

@@ -10,6 +10,20 @@ hexagon-side lengths of every edge agree, which is exactly the gluing
 condition for a hyperbolic metric; the reduced gradient component of
 s_e is ln cosh(y_a/2) - ln cosh(y_b/2).
 
+The gradient component of hexagon side i is ln cosh(y_i/2), so one
+gradient call holds every seam length too:
+y = 2 ln(1 + u + sqrt(u (2 + u))) with u = e^g - 1, exact to the last
+digit or two where the cosine law in x rounds short seams to 0 or
+overflows.  Each Newton step costs one Hessian at its point and one
+gradient per trial point; the accepted trial point's gradient is the
+next step's gradient, seam lengths and length mismatch.  The line search
+never evaluates the energy.  It accepts a step when the directional
+derivative there is at least -(1 - 2c) times the one at the start, with
+c = `_ARMIJO`: the trapezoid form of the sufficient-increase test (Hager
+and Zhang's approximate Wolfe condition), which carries no rounding
+noise of the energy's size.  The energy itself is computed once per
+solve, for the report.
+
 Each Newton quantity is one hexgeom call on the (n, 3) array of all
 hexagons' t-triples, scattered to the edges through the complex's
 incidence arrays.  The reduced Hessian has 9 block entries per hexagon,
@@ -19,7 +33,10 @@ scattered into a CSR sparsity pattern fixed once per complex
 with LAPACK, which is cheaper there than the two dozen or so Python-level
 iterations an iterative solve takes; above that size the dense solve's
 cubic cost overtakes, and a short diagonally preconditioned
-conjugate-gradient loop on the sparse matrix solves it instead.
+conjugate-gradient loop on the sparse matrix solves it instead.  CG
+stops at the relative residual min(0.1, max|g_s|), the inexact-Newton
+forcing term (Dembo, Eisenstat and Steihaug 1982): loose far from the
+maximizer, tight near it, so the local convergence stays superlinear.
 """
 
 from __future__ import annotations
@@ -49,8 +66,8 @@ class SolveConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
-# line search: step shrink factor, Armijo sufficient-increase constant,
-# and the smallest domain margin a trial point may have
+# line search: step shrink factor, sufficient-increase constant of the
+# trapezoid test, and the smallest domain margin a trial point may have
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
 _MARGIN_FLOOR = 1e-12
@@ -81,7 +98,9 @@ class HyperbolicMetric:
     z: np.ndarray
 
 
-# relative residual at which the Newton system's iterative solve stops
+# smallest relative residual at which the Newton system's iterative
+# solve stops; a step stops at the forcing term min(0.1, max|g_s|) if
+# larger
 _CG_RTOL = 1e-12
 
 # most edges at which a Newton step is a dense solve rather than CG: the
@@ -121,41 +140,48 @@ def energy(cx: HexComplex, t: np.ndarray) -> float:
 def edge_side_lengths(cx: HexComplex, t: np.ndarray) -> np.ndarray:
     """(m, 2) array: the y-length each side's hexagon assigns to every
     edge under the realization with x-lengths from t."""
-    x = coords.x_of(cx, t)
-    return hexgeom.cosine_law_y(x.reshape(cx.n, 3)).ravel()[cx.edge_arcs]
+    return _side_lengths(cx, hexgeom.theta_grad(np.reshape(t, (cx.n, 3))))
+
+
+def _side_lengths(cx: HexComplex, grad: np.ndarray) -> np.ndarray:
+    """edge_side_lengths from the hexagons' (n, 3) energy gradients."""
+    return hexgeom.y_of_grad(grad).ravel()[cx.edge_arcs]
+
+
+def _reduced_gradient(cx: HexComplex, grad: np.ndarray) -> np.ndarray:
+    """Gradient g_s in the free coordinates s: each hexagon's gradient
+    3-vector scattered through its arcs' edges and signs."""
+    return np.bincount(cx.arc_edge, weights=cx.arc_sign * grad.ravel(), minlength=cx.num_edges)
+
+
+def _neg_hessian(cx: HexComplex, t: np.ndarray):
+    """Negated Hessian -H of the energy in s, symmetric positive definite:
+    each hexagon's 3x3 block scattered into the data of the complex's
+    fixed CSR pattern (duplicate slots summed by the bincount)."""
+    from scipy.sparse import csr_array
+
+    pattern = cx.hessian_pattern
+    data = np.bincount(
+        pattern.slot,
+        weights=pattern.neg_sign * hexgeom.theta_hessian(t.reshape(cx.n, 3)).ravel(),
+        minlength=len(pattern.indices),
+    )
+    return csr_array((data, pattern.indices, pattern.indptr), shape=(cx.num_edges,) * 2)
 
 
 def _newton_system(cx: HexComplex, t: np.ndarray):
     """Gradient g_s and negated Hessian -H of the energy in the free
-    coordinates s.
-
-    Each hexagon's gradient 3-vector is scattered through its arcs'
-    edges and signs; its Hessian 3x3 block is scattered into the data of
-    the complex's fixed CSR pattern (duplicate slots summed by the
-    bincount), which gives -H, symmetric positive definite."""
-    from scipy.sparse import csr_array
-
-    pattern = cx.hessian_pattern
-    ts = t.reshape(cx.n, 3)
-    g_s = np.bincount(
-        cx.arc_edge, weights=cx.arc_sign * hexgeom.theta_grad(ts).ravel(), minlength=cx.num_edges
-    )
-    data = np.bincount(
-        pattern.slot,
-        weights=pattern.neg_sign * hexgeom.theta_hessian(ts).ravel(),
-        minlength=len(pattern.indices),
-    )
-    neg_h = csr_array((data, pattern.indices, pattern.indptr), shape=(cx.num_edges,) * 2)
-    return g_s, neg_h
+    coordinates s, at one point."""
+    return _reduced_gradient(cx, hexgeom.theta_grad(t.reshape(cx.n, 3))), _neg_hessian(cx, t)
 
 
-def _pcg(a, b: np.ndarray, inv_diag: np.ndarray) -> tuple[np.ndarray, int]:
+def _pcg(a, b: np.ndarray, inv_diag: np.ndarray, rtol: float = _CG_RTOL) -> tuple[np.ndarray, int]:
     """Diagonally preconditioned conjugate gradients for a x = b, a
-    symmetric positive definite: stops when ||r|| <= _CG_RTOL ||b|| or
+    symmetric positive definite: stops when ||r|| <= rtol ||b|| or
     after 10 len(b) iterations.  Returns x and the iteration count."""
     x = np.zeros_like(b)
     r = b.copy()
-    atol = _CG_RTOL * math.sqrt(b @ b)
+    atol = rtol * math.sqrt(b @ b)
     p = None
     for k in range(10 * len(b)):
         if math.sqrt(r @ r) <= atol:
@@ -192,11 +218,13 @@ def maximize(
     t = coords.slice_point(cx, z, s)
     if domain_margin(cx, t) <= _MARGIN_FLOOR:
         raise SolveError("starting point is not interior")
-    val = energy(cx, t)
+    # the hexagons' energy gradients at t and their reduced form, from
+    # which the stopping rule and the next step are read
+    grad = hexgeom.theta_grad(t.reshape(cx.n, 3))
+    g_s = _reduced_gradient(cx, grad)
     cg_iterations = 0
     for it in range(1, cfg.max_iter + 1):
-        g_s, neg_h = _newton_system(cx, t)
-        sides = edge_side_lengths(cx, t)
+        sides = _side_lengths(cx, grad)
         mismatch = float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
         grad_norm = float(np.max(np.abs(g_s)))
         if grad_norm < cfg.tol and mismatch < cfg.tol:
@@ -204,7 +232,7 @@ def maximize(
                 iterations=it - 1,
                 grad_norm=grad_norm,
                 consistency=mismatch,
-                energy=val,
+                energy=energy(cx, t),
                 achieved_z=_achieved_z(cx, t),
                 converged=True,
                 cg_iterations=cg_iterations,
@@ -213,45 +241,44 @@ def maximize(
         # -H is symmetric positive definite.  A small one is solved dense;
         # a large one is diagonally dominant, so diagonally preconditioned
         # CG converges fast where a sparse LU would fill in and a dense
-        # solve costs m^3.  An inexact step is still an ascent direction.
+        # solve costs m^3.  CG stops at the forcing term; an inexact step
+        # is still an ascent direction.
+        neg_h = _neg_hessian(cx, t)
         if cx.num_edges <= _DIRECT_MAX_EDGES:
             try:
                 step = np.linalg.solve(neg_h.toarray(), g_s)
             except np.linalg.LinAlgError as exc:
                 raise SolveError(f"Newton system is singular: {exc}") from exc
         else:
-            step, k = _pcg(neg_h, g_s, 1.0 / neg_h.data[cx.hessian_pattern.diagonal])
+            rtol = max(_CG_RTOL, min(0.1, grad_norm))
+            step, k = _pcg(neg_h, g_s, 1.0 / neg_h.data[cx.hessian_pattern.diagonal], rtol)
             cg_iterations += k
         slope = float(g_s @ step)
         if slope < 0.0:
             raise SolveError("Newton direction is not an ascent direction")
+        # backtrack until the trial point is interior and its trapezoid
+        # estimate of the gain, alpha (phi'(0) + phi'(alpha)) / 2, is at
+        # least _ARMIJO alpha phi'(0), with phi' the slope along the step
         alpha = 1.0
         while True:
             if alpha < 1e-16:
                 raise SolveError(
                     "line search stalled at the domain boundary; the "
                     "coordinate is infeasible or numerically near-boundary",
-                    SolveReport(it, grad_norm, mismatch, val, z.copy(), False, cg_iterations),
+                    SolveReport(it, grad_norm, mismatch, energy(cx, t), z.copy(), False, cg_iterations),
                 )
             s_try = s + alpha * step
             t_try = coords.slice_point(cx, z, s_try)
-            if domain_margin(cx, t_try) <= _MARGIN_FLOOR:
-                alpha *= _BACKTRACK
-                continue
-            val_try = energy(cx, t_try)
-            # absolute floor: near the maximizer the predicted increase
-            # drops below the rounding noise of the energy itself
-            noise = 1e-15 * (1.0 + abs(val))
-            if val_try >= val + _ARMIJO * alpha * slope - noise:
-                break
+            if domain_margin(cx, t_try) > _MARGIN_FLOOR:
+                grad_try = hexgeom.theta_grad(t_try.reshape(cx.n, 3))
+                g_try = _reduced_gradient(cx, grad_try)
+                if g_try @ step >= -(1.0 - 2.0 * _ARMIJO) * slope:
+                    break
             alpha *= _BACKTRACK
-        # concave ascent: the accepted energy never decreases
-        if val_try < val - 1e-12 * (1.0 + abs(val)):
-            raise SolveError("energy decreased on an accepted step")
-        s, t, val = s_try, t_try, val_try
+        s, t, grad, g_s = s_try, t_try, grad_try, g_try
     raise SolveError(
         f"no convergence within {cfg.max_iter} Newton iterations",
-        SolveReport(cfg.max_iter, grad_norm, mismatch, val, z.copy(), False, cg_iterations),
+        SolveReport(cfg.max_iter, grad_norm, mismatch, energy(cx, t), z.copy(), False, cg_iterations),
     )
 
 

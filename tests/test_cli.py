@@ -223,7 +223,7 @@ def test_integer_edge_keys_accepted(pants_file, tmp_path, capsys):
     "command, key, value",
     [
         ("forward", "--lengths", 800.0),  # OverflowError in the cosine law
-        ("solve", "--z", 400.0),  # hexgeom.DomainError in the energy
+        ("solve", "--z", 800.0),  # hexgeom.DomainError: the gradient underflows to 0
         ("solve --max-iter 0", "--z", 1.0),  # ValueError from SolveConfig
     ],
 )
@@ -290,9 +290,11 @@ def test_solve_failed_audit_exits_verify(pants_file, tmp_path, capsys):
 
 
 def test_solve_large_z_hessian_finite_exits_verify(pants_file, tmp_path, capsys):
-    # at z = 50 the Hessian stays finite, so the solve converges and the
-    # audit, not the input check, refuses it
+    # at z = 50 and z = 400 the Hessian stays finite and the lengths come
+    # from the gradient, so the solve converges and the audit, not the
+    # input check, refuses it
     _assert_solve_refused_by_audit(pants_file, tmp_path, capsys, 50.0)
+    _assert_solve_refused_by_audit(pants_file, tmp_path, capsys, 400.0)
 
 
 def test_lp_failure_exits_no_convergence(pants_file, tmp_path, capsys, monkeypatch):

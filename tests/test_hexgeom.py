@@ -126,6 +126,20 @@ def test_grad_components_are_lncosh_half_y():
             assert g[i] > 0.0
 
 
+def test_y_of_grad_matches_high_precision_reference():
+    # g = ln cosh(y/2) rounded once to a float, for y log-uniform over
+    # [1e-150, 700]: the short sides the cosine law rounds to 0 included.
+    # cosh(y/2) - 1 is about y^2/8, so the reference carries 2 * 150 + 40
+    # digits.
+    import mpmath
+
+    rng = np.random.default_rng(20261019)
+    y = 10.0 ** rng.uniform(-150.0, math.log10(700.0), 200)
+    with mpmath.workdps(340):
+        g = np.array([float(mpmath.log(mpmath.cosh(mpmath.mpf(float(v)) / 2))) for v in y])
+    assert np.max(np.abs(hexgeom.y_of_grad(g) / y - 1.0)) < 1e-14
+
+
 def test_hessian_matches_finite_differences():
     h = 1e-4
     for _ in range(100):
