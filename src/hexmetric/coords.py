@@ -25,6 +25,15 @@ def _as_arc_array(cx: HexComplex, values: np.ndarray | list[float]) -> np.ndarra
     return arr
 
 
+def edge_array(cx: HexComplex, values) -> np.ndarray:
+    """`values` as a float array of one entry per edge of cx; any other
+    length raises CoordinateError."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (cx.num_edges,):
+        raise CoordinateError(f"expected {cx.num_edges} edge values, got shape {arr.shape}")
+    return arr
+
+
 def slice_point(cx: HexComplex, z: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The t-coordinate on the slice with invariant z whose free
     coordinates are s: the facing pair of edge e is z[e]/2 + s[e] and
@@ -85,7 +94,5 @@ def boundary_lengths(cx: HexComplex, x: np.ndarray) -> np.ndarray:
 def boundary_z_sums(cx: HexComplex, z: np.ndarray) -> np.ndarray:
     """Per boundary component, the z-sum of its boundary edge cycle (the
     boundary length any compatible metric must have)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (cx.num_edges,):
-        raise CoordinateError(f"expected {cx.num_edges} edge values, got shape {z.shape}")
+    z = edge_array(cx, z)
     return np.bincount(cx.arc_boundary, weights=z[cx.arc_boundary_edge])

@@ -6,7 +6,8 @@ the three x-lengths (or of the half-difference coordinates t_i), namely:
 
 * the cosine law in both directions, and the y-sides from the gradient,
 * the antiderivatives of ln cosh and ln sinh (via the dilogarithm),
-* the concave per-hexagon energy, its exact gradient and Hessian,
+* the concave per-hexagon energy, its exact gradient and Hessian (one
+  at a time, or both from one call that shares their terms),
 * a line-integral evaluation of the energy used as an independent check.
 
 The t-domain is the open cone H3 = {t in R^3 : t_i + t_j > 0 for i != j};
@@ -49,9 +50,9 @@ class DomainError(ValueError):
 
 
 # Entry i of a triple is paired with entries _J[i] = i+1 and _K[i] = i+2.
-_I = [0, 1, 2]
-_J = [1, 2, 0]
-_K = [2, 0, 1]
+_I = np.array([0, 1, 2])
+_J = np.array([1, 2, 0])
+_K = np.array([2, 0, 1])
 
 
 def _raising() -> np.errstate:
@@ -61,10 +62,10 @@ def _raising() -> np.errstate:
 
 
 def _require(ok: np.ndarray, values: np.ndarray, message: str) -> None:
-    """Raise DomainError naming the first triple whose entry of `ok` is
-    false (a NaN comparison counts as false)."""
-    if not np.all(ok):
-        bad = np.reshape(values, (-1, 3))[~np.reshape(ok, -1)][0]
+    """Raise DomainError naming the first triple of `values` with an entry
+    of `ok`, shape (..., 3), false (a NaN comparison counts as false)."""
+    if not ok.all():
+        bad = np.reshape(values, (-1, 3))[~np.reshape(ok, (-1, 3)).all(axis=1)][0]
         raise DomainError(f"{message}: {tuple(bad.tolist())}")
 
 
@@ -103,8 +104,7 @@ def lambda2(u):
 
 
 def _check_positive(v: np.ndarray, name: str) -> None:
-    ok = np.all((v > 0.0) & np.isfinite(v), axis=-1)
-    _require(ok, v, f"{name} must be strictly positive and finite")
+    _require((v > 0.0) & np.isfinite(v), v, f"{name} must be strictly positive and finite")
 
 
 def arccosh(w):
@@ -155,12 +155,14 @@ def pair_sums(t):
 
 
 def _require_closed_h3(t: np.ndarray) -> None:
-    _require(np.min(pair_sums(t), axis=-1) >= 0.0, t, "t outside closed H3")
+    _require(pair_sums(t) >= 0.0, t, "t outside closed H3")
 
 
-def _require_open_h3(t: np.ndarray) -> None:
-    ok = (np.min(pair_sums(t), axis=-1) > H3_MARGIN) & np.all(np.isfinite(t), axis=-1)
-    _require(ok, t, "t not finite and strictly inside H3")
+def _require_open_h3(t: np.ndarray) -> np.ndarray:
+    """The pair sums of t, once t is checked to be inside the open cone."""
+    x = pair_sums(t)
+    _require((x > H3_MARGIN) & np.isfinite(t), t, "t not finite and strictly inside H3")
+    return x
 
 
 def theta(t):
@@ -183,22 +185,62 @@ def theta(t):
     return 0.5 * total
 
 
+def _derivatives(t, gradient: bool = True, hessian: bool = True):
+    """theta's gradient and Hessian at interior t, either one None when
+    not asked for.  Both are built from the same terms of T and of
+    a = 2x: e^{-a} and 1 - e^{-a} = -expm1(-a)."""
+    t = np.asarray(t, dtype=float)
+    g = h = None
+    with _raising():
+        a = 2.0 * _require_open_h3(t)  # entry i: 2(t_i + t_j)
+        total = t.sum(axis=-1)[..., None]  # T > 0 in H3
+        e, one_minus_e = np.exp(-a), -np.expm1(-a)
+        if gradient:
+            g = _gradient_terms(t, total, a, e, one_minus_e)
+        if hessian:
+            h = _hessian_terms(t, total, e, one_minus_e)
+    if gradient:
+        _require(g > 0.0, t, "theta gradient underflows to 0")
+    if hessian:
+        _require(h[..., _I, _I] < 0.0, t, "theta Hessian underflows to 0")
+    return g, h
+
+
+def _gradient_terms(t, total, a, e, one_minus_e):
+    # d split at 2x = ln 2, as in Maechler's log1mexp, keeps every digit
+    d = -np.where(a <= _LN2, np.log(one_minus_e), np.log1p(-e))
+    c = np.log1p(np.exp(-2.0 * np.abs(t)))
+    c_total = np.log1p(np.exp(-2.0 * total))
+    return np.maximum(-t, 0.0) + 0.5 * (c_total + c + d + d[..., _K])
+
+
+def _hessian_terms(t, total, e, one_minus_e):
+    p_total = _p(total)
+    q = e / one_minus_e
+    h = np.empty(t.shape + (3,))
+    h[..., _I, _J] = h[..., _J, _I] = -(p_total + q)
+    h[..., _I, _I] = -(p_total + _p(t) + q + q[..., _K])
+    return h
+
+
+def _p(u):
+    """p(u) = 1/(e^{2u} + 1) = expit(-2u).  expit flushes to 0 once 2u
+    passes 709.8; from 2u = 700 on p is taken as e^{-2u} (1 + e^{-2u}
+    rounds to 1), positive up to 2u = 745, so the Hessian's diagonal
+    underflows no sooner than the gradient does."""
+    from scipy.special import expit
+
+    x = -2.0 * u
+    p = expit(x)
+    return np.exp(x, out=p, where=x < -700.0)
+
+
 def theta_grad(t):
     """Exact gradient of theta, components ln cosh(y_i/2) > 0, in the form
     max(-t_i, 0) + (c(T) + c(t_i) + d(x_j) + d(x_k))/2: x_j + x_k = T + t_i
     cancels the linear growth of ln cosh T + ln cosh t_i - ln sinh x_j -
     ln sinh x_k exactly.  A row that underflows to 0 raises DomainError."""
-    t = np.asarray(t, dtype=float)
-    _require_open_h3(t)
-    with _raising():
-        a = 2.0 * pair_sums(t)  # entry i: 2(t_i + t_j)
-        # d split at 2x = ln 2, as in Maechler's log1mexp, keeps every digit
-        d = -np.where(a <= _LN2, np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
-        c = np.log1p(np.exp(-2.0 * np.abs(t)))
-        c_total = np.log1p(np.exp(-2.0 * t.sum(axis=-1)))[..., None]  # T > 0 in H3
-        g = np.maximum(-t, 0.0) + 0.5 * (c_total + c + d + d[..., _K])
-    _require(np.all(g > 0.0, axis=-1), t, "theta gradient underflows to 0")
-    return g
+    return _derivatives(t, hessian=False)[0]
 
 
 def theta_hessian(t):
@@ -206,19 +248,14 @@ def theta_hessian(t):
     form -[p(T) 11^T + diag p(t) + sum_k q(x_k) (e_i + e_j)(e_i + e_j)^T]
     (tanh = 1 - 2p, coth = 1 + 2q); -H is strictly diagonally dominant, as
     p(t_i) > p(T).  A row whose diagonal underflows to 0 raises DomainError."""
-    from scipy.special import expit
+    return _derivatives(t, gradient=False)[1]
 
-    t = np.asarray(t, dtype=float)
-    _require_open_h3(t)
-    with _raising():
-        p_total = expit(-2.0 * t.sum(axis=-1))[..., None]
-        a = 2.0 * pair_sums(t)  # entry i: 2(t_i + t_j)
-        q = np.exp(-a) / -np.expm1(-a)
-        h = np.empty(t.shape + (3,))
-        h[..., _I, _J] = h[..., _J, _I] = -(p_total + q)
-        h[..., _I, _I] = -(p_total + expit(-2.0 * t) + q + q[..., _K])
-    _require(np.all(h[..., _I, _I] < 0.0, axis=-1), t, "theta Hessian underflows to 0")
-    return h
+
+def theta_derivatives(t):
+    """(theta_grad(t), theta_hessian(t)), equal to them bit for bit, from
+    one domain check and the terms the two share; raises as either
+    would."""
+    return _derivatives(t)
 
 
 # 16-point Gauss-Legendre nodes/weights on [0, 1].

@@ -210,7 +210,6 @@ def _margin_lp(cx: HexComplex, z: np.ndarray):
     d(a')) / 2, from the graph's potentials d at e's facing arcs a, a'
     (sides 0 and 1), has margin mu.
     """
-    z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("coordinate values must be finite")
     mu, d, cycle = _min_mean_cycle(*_arc_graph(cx, z))
@@ -247,7 +246,7 @@ def check_feasibility(cx: HexComplex, z, tol: float = TAU_FEAS) -> PolytopeRepor
     certificate; feasible reports carry an interior length structure.
     One margin LP gives both (see _margin_lp).
     """
-    z = np.asarray(z, dtype=float)
+    z = coords.edge_array(cx, z)
     return _report(cx, z, tol, *_margin_lp(cx, z))
 
 
@@ -256,7 +255,7 @@ def interior_point(cx: HexComplex, z, tol: float = TAU_FEAS) -> np.ndarray:
     point of the facing-pair parametrization.  Raises
     InfeasibleCoordinateError (with the feasibility report) when no
     interior point exists."""
-    z = np.asarray(z, dtype=float)
+    z = coords.edge_array(cx, z)
     mu, t, y = _margin_lp(cx, z)
     if mu <= tol:
         raise InfeasibleCoordinateError(_report(cx, z, tol, mu, t, y))

@@ -14,26 +14,27 @@ The gradient component of hexagon side i is ln cosh(y_i/2), so one
 gradient call holds every seam length too:
 y = 2 ln(1 + u + sqrt(u (2 + u))) with u = e^g - 1, exact to the last
 digit or two where the cosine law in x rounds short seams to 0 or
-overflows.  Each Newton step costs one Hessian at its point and one
-gradient per trial point; the accepted trial point's gradient is the
-next step's gradient, seam lengths and length mismatch.  The line search
-never evaluates the energy.  It accepts a step when the directional
-derivative there is at least -(1 - 2c) times the one at the start, with
-c = `_ARMIJO`: the trapezoid form of the sufficient-increase test (Hager
-and Zhang's approximate Wolfe condition), which carries no rounding
-noise of the energy's size.  The energy itself is computed once per
-solve, for the report.
+overflows.  Each point the solve visits inside the domain (the start
+and every trial point) costs one derivative call, which gives the
+gradient and the Hessian there from the terms they share; the accepted
+trial point's pair is the next step's gradient, seam lengths, length
+mismatch and Hessian.  The line search never evaluates the energy.  It
+accepts a step when the directional derivative there is at least
+-(1 - 2c) times the one at the start, with c = `_ARMIJO`: the trapezoid
+form of the sufficient-increase test (Hager and Zhang's approximate
+Wolfe condition), which carries no rounding noise of the energy's
+size.  The energy itself is computed once per solve, for the report.
 
 Each Newton quantity is one hexgeom call on the (n, 3) array of all
 hexagons' t-triples, scattered to the edges through the complex's
 incidence arrays.  The reduced Hessian has 9 block entries per hexagon,
-scattered into a CSR sparsity pattern fixed once per complex
+scattered by one bincount through positions fixed once per complex
 (`HexComplex.hessian_pattern`).  On complexes of at most
-`_DIRECT_MAX_EDGES` edges each Newton step solves it as a dense matrix
-with LAPACK, which is cheaper there than the two dozen or so Python-level
-iterations an iterative solve takes; above that size the dense solve's
-cubic cost overtakes, and a short diagonally preconditioned
-conjugate-gradient loop on the sparse matrix solves it instead.  CG
+`_DIRECT_MAX_EDGES` edges they land in a dense (m, m) array, which each
+Newton step solves with LAPACK, cheaper there than the two dozen or so
+Python-level iterations an iterative solve takes; above that size the
+dense solve's cubic cost overtakes, so they land in a CSR matrix, and a
+short diagonally preconditioned conjugate-gradient loop solves it.  CG
 stops at the relative residual min(0.1, max|g_s|), the inexact-Newton
 forcing term (Dembo, Eisenstat and Steihaug 1982): loose far from the
 maximizer, tight near it, so the local convergence stays superlinear.
@@ -42,6 +43,7 @@ maximizer, tight near it, so the local convergence stays superlinear.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,8 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -154,25 +158,38 @@ def _reduced_gradient(cx: HexComplex, grad: np.ndarray) -> np.ndarray:
     return np.bincount(cx.arc_edge, weights=cx.arc_sign * grad.ravel(), minlength=cx.num_edges)
 
 
-def _neg_hessian(cx: HexComplex, t: np.ndarray):
-    """Negated Hessian -H of the energy in s, symmetric positive definite:
-    each hexagon's 3x3 block scattered into the data of the complex's
-    fixed CSR pattern (duplicate slots summed by the bincount)."""
+def _neg_hessian(cx: HexComplex, hess: np.ndarray):
+    """Negated Hessian -H of the energy in s, symmetric positive definite,
+    from the hexagons' (n, 3, 3) Hessian blocks: a dense (m, m) array on
+    complexes of at most _DIRECT_MAX_EDGES edges, the CSR matrix of
+    _neg_hessian_csr above.  Entries that share a position are summed by
+    the bincount in the same order as in the CSR data."""
+    m = cx.num_edges
+    if m > _DIRECT_MAX_EDGES:
+        return _neg_hessian_csr(cx, hess)
+    pattern = cx.hessian_pattern
+    flat = np.bincount(pattern.flat, weights=pattern.neg_sign * hess.ravel(), minlength=m * m)
+    return flat.reshape(m, m)
+
+
+def _neg_hessian_csr(cx: HexComplex, hess: np.ndarray):
+    """-H as a CSR matrix: each hexagon's 3x3 block scattered into the
+    data of the complex's fixed CSR pattern (duplicate slots summed by
+    the bincount)."""
     from scipy.sparse import csr_array
 
     pattern = cx.hessian_pattern
     data = np.bincount(
-        pattern.slot,
-        weights=pattern.neg_sign * hexgeom.theta_hessian(t.reshape(cx.n, 3)).ravel(),
-        minlength=len(pattern.indices),
+        pattern.slot, weights=pattern.neg_sign * hess.ravel(), minlength=len(pattern.indices)
     )
     return csr_array((data, pattern.indices, pattern.indptr), shape=(cx.num_edges,) * 2)
 
 
 def _newton_system(cx: HexComplex, t: np.ndarray):
-    """Gradient g_s and negated Hessian -H of the energy in the free
-    coordinates s, at one point."""
-    return _reduced_gradient(cx, hexgeom.theta_grad(t.reshape(cx.n, 3))), _neg_hessian(cx, t)
+    """Gradient g_s and negated Hessian -H (as CSR) of the energy in the
+    free coordinates s, at one point."""
+    grad, hess = hexgeom.theta_derivatives(t.reshape(cx.n, 3))
+    return _reduced_gradient(cx, grad), _neg_hessian_csr(cx, hess)
 
 
 def _pcg(a, b: np.ndarray, inv_diag: np.ndarray, rtol: float = _CG_RTOL) -> tuple[np.ndarray, int]:
@@ -207,7 +224,7 @@ def maximize(
     invariant z.  `start_t` must already lie on the slice; by default
     the max-margin interior point is used."""
     cfg = cfg or SolveConfig()
-    z = np.asarray(z, dtype=float)
+    z = coords.edge_array(cx, z)
     if start_t is None:
         t = polytope.interior_point(cx, z)
     else:
@@ -218,9 +235,9 @@ def maximize(
     t = coords.slice_point(cx, z, s)
     if domain_margin(cx, t) <= _MARGIN_FLOOR:
         raise SolveError("starting point is not interior")
-    # the hexagons' energy gradients at t and their reduced form, from
-    # which the stopping rule and the next step are read
-    grad = hexgeom.theta_grad(t.reshape(cx.n, 3))
+    # the hexagons' energy gradients and Hessians at t and the reduced
+    # gradient, from which the stopping rule and the next step are read
+    grad, hess = hexgeom.theta_derivatives(t.reshape(cx.n, 3))
     g_s = _reduced_gradient(cx, grad)
     cg_iterations = 0
     for it in range(1, cfg.max_iter + 1):
@@ -243,10 +260,10 @@ def maximize(
         # CG converges fast where a sparse LU would fill in and a dense
         # solve costs m^3.  CG stops at the forcing term; an inexact step
         # is still an ascent direction.
-        neg_h = _neg_hessian(cx, t)
+        neg_h = _neg_hessian(cx, hess)
         if cx.num_edges <= _DIRECT_MAX_EDGES:
             try:
-                step = np.linalg.solve(neg_h.toarray(), g_s)
+                step = np.linalg.solve(neg_h, g_s)
             except np.linalg.LinAlgError as exc:
                 raise SolveError(f"Newton system is singular: {exc}") from exc
         else:
@@ -270,12 +287,12 @@ def maximize(
             s_try = s + alpha * step
             t_try = coords.slice_point(cx, z, s_try)
             if domain_margin(cx, t_try) > _MARGIN_FLOOR:
-                grad_try = hexgeom.theta_grad(t_try.reshape(cx.n, 3))
+                grad_try, hess_try = hexgeom.theta_derivatives(t_try.reshape(cx.n, 3))
                 g_try = _reduced_gradient(cx, grad_try)
                 if g_try @ step >= -(1.0 - 2.0 * _ARMIJO) * slope:
                     break
             alpha *= _BACKTRACK
-        s, t, grad, g_s = s_try, t_try, grad_try, g_try
+        s, t, grad, hess, g_s = s_try, t_try, grad_try, hess_try, g_try
     raise SolveError(
         f"no convergence within {cfg.max_iter} Newton iterations",
         SolveReport(cfg.max_iter, grad_norm, mismatch, energy(cx, t), z.copy(), False, cg_iterations),

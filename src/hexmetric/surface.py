@@ -66,7 +66,9 @@ class HessianPattern(NamedTuple):
     -arc_sign[3h + a] * arc_sign[3h + b].  A self-glued hexagon has an
     edge twice, so several block entries can share a slot; they are
     summed.  Scattering the energy Hessian's blocks this way gives the
-    CSR data of -H.
+    CSR data of -H.  ``flat[9h + 3a + b]`` is the block entry's position
+    row * m + col in the row-major (m, m) matrix, so the same scatter
+    with ``flat`` for ``slot`` gives -H as a dense array.
     """
 
     indptr: np.ndarray  # (m + 1,)
@@ -74,6 +76,7 @@ class HessianPattern(NamedTuple):
     diagonal: np.ndarray  # (m,): position in data of entry (e, e)
     slot: np.ndarray  # (9n,)
     neg_sign: np.ndarray  # (9n,)
+    flat: np.ndarray  # (9n,)
 
 
 @dataclass(frozen=True)
@@ -200,6 +203,7 @@ class HexComplex:
             diagonal=np.flatnonzero(row == col),
             slot=slot,
             neg_sign=-(signs[:, :, None] * signs[:, None, :]).ravel(),
+            flat=key,
         )
         for a in pattern:
             a.flags.writeable = False

@@ -218,6 +218,31 @@ def test_derivatives_match_high_precision_reference():
         )
 
 
+def test_derivatives_in_one_call_match_the_separate_calls():
+    # theta_derivatives shares its terms between the gradient and the
+    # Hessian; each must come out exactly as from its own call
+    rng = np.random.default_rng(20261019)
+    t = np.array([wide_t(rng) for _ in range(200)])
+    g, h = hexgeom.theta_derivatives(t)
+    np.testing.assert_array_equal(g, hexgeom.theta_grad(t))
+    np.testing.assert_array_equal(h, hexgeom.theta_hessian(t))
+    g0, h0 = hexgeom.theta_derivatives(t[0])
+    np.testing.assert_array_equal(g0, hexgeom.theta_grad(t[0]))
+    np.testing.assert_array_equal(h0, hexgeom.theta_hessian(t[0]))
+
+
+@pytest.mark.parametrize("v", [355.0, 360.0, 372.0])
+def test_hessian_underflows_no_sooner_than_the_gradient(v):
+    # at t = (v, v, v) the diagonal of -H is p(v) + p(3v) + 2q(2v), about
+    # e^{-2v}; expit alone flushes p(v) to 0 from v = 354.9 on, though the
+    # gradient, about e^{-2v}/2 per entry, stays positive to v = 372.5
+    g, h = hexgeom.theta_derivatives((v, v, v))
+    assert np.all(g > 0.0)
+    assert np.all(np.diag(h) == -math.exp(-2.0 * v))
+    with pytest.raises(hexgeom.DomainError, match="gradient underflows"):
+        hexgeom.theta_derivatives((372.5, 372.5, 372.5))
+
+
 def test_energy_blows_up_near_boundary():
     # inward derivative along the segment from a boundary point a to an
     # interior point p grows without bound approaching the boundary:
@@ -295,3 +320,23 @@ def test_one_bad_row_raises(f, row):
     rows[5] = row
     with pytest.raises((hexgeom.DomainError, ArithmeticError)):
         f(rows)
+
+
+# the theta_grad and theta_hessian rows of test_one_bad_row_raises
+@pytest.mark.parametrize(
+    "f, row",
+    [
+        (hexgeom.theta_grad, (1.0, -1.0, 2.0)),
+        (hexgeom.theta_grad, (400.0, 400.0, 400.0)),
+        (hexgeom.theta_hessian, (400.0, 400.0, 400.0)),
+        (hexgeom.theta_hessian, (1.0, np.inf, 1.0)),
+    ],
+)
+def test_derivatives_raise_as_the_separate_calls(f, row):
+    rows = np.array([random_t(RNG) for _ in range(8)])
+    rows[5] = row
+    with pytest.raises((hexgeom.DomainError, ArithmeticError)) as separate:
+        f(rows)
+    with pytest.raises((hexgeom.DomainError, ArithmeticError)) as together:
+        hexgeom.theta_derivatives(rows)
+    assert type(together.value) is type(separate.value)

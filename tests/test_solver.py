@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,27 @@ def test_config_validation():
         SolveConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolveConfig(tol=0.0)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", True])
+def test_config_rejects_non_integer_max_iter(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        SolveConfig(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_z_of_the_wrong_length_is_a_coordinate_error(four, extra):
+    z = np.array([0.3, 1.7, 0.9, 1.1, 0.6, 1.4])
+    t0 = polytope.interior_point(four, z)
+    bad = np.resize(z, four.num_edges + extra)
+    for call in (
+        lambda: polytope.check_feasibility(four, bad),
+        lambda: polytope.interior_point(four, bad),
+        lambda: maximize(four, bad),
+        lambda: maximize(four, bad, start_t=t0),
+    ):
+        with pytest.raises(coords.CoordinateError, match="expected 6 edge values"):
+            call()
 
 
 def test_energy_is_sum_of_hexagon_energies(pants):
@@ -169,10 +193,8 @@ def test_non_convergence_reported(four):
 def test_singular_newton_system_is_a_solve_error(four, monkeypatch):
     # np.linalg.solve's LinAlgError is a ValueError, which the CLI would
     # report as bad input; maximize reports it as a failed solve
-    from scipy.sparse import csr_array
-
     m = four.num_edges
-    monkeypatch.setattr(solver, "_neg_hessian", lambda cx, t: csr_array((m, m)))
+    monkeypatch.setattr(solver, "_neg_hessian", lambda cx, hess: np.zeros((m, m)))
     with pytest.raises(SolveError, match="singular"):
         maximize(four, np.array([0.3, 1.7, 0.9, 1.1, 0.6, 1.4]))
 
@@ -261,6 +283,40 @@ def test_cg_step_matches_dense_solve(pants, torus, four):
         assert np.linalg.norm(step - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
+def test_dense_newton_system_matches_csr(pants, torus, four):
+    # the dense scatter sums shared positions in the CSR data's order, so
+    # the two agree to the bit, self-glued hexagon included
+    for i, cx in enumerate(_pattern_cases(pants, torus, four)):
+        assert cx.num_edges <= solver._DIRECT_MAX_EDGES
+        _, t = _interior_t(cx, 500 + i)
+        _, hess = hexgeom.theta_derivatives(t.reshape(cx.n, 3))
+        dense = solver._neg_hessian(cx, hess)
+        assert isinstance(dense, np.ndarray) and dense.shape == (cx.num_edges,) * 2
+        np.testing.assert_array_equal(dense, solver._neg_hessian_csr(cx, hess).toarray())
+
+
+def test_dense_round_trip_does_not_import_scipy_sparse():
+    code = (
+        "import sys\n"
+        "from conftest import seeded_complex\n"
+        "import numpy as np\n"
+        "from hexmetric import polytope, realize, solver\n"
+        "cx = seeded_complex(32, 20261019)\n"
+        "lengths = np.random.default_rng(7).uniform(0.3, 3.0, cx.num_edges)\n"
+        "z, _, _ = solver.forward_map(cx, lengths)\n"
+        "assert polytope.check_feasibility(cx, z).feasible\n"
+        "t, rep = solver.maximize(cx, z)\n"
+        "assert rep.converged and rep.iterations >= 1\n"
+        "assert realize.verify_metric(cx, solver.extract_metric(cx, t)).ok\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    tests = Path(__file__).parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
+
+
 def test_hessian_pattern_is_read_only_and_reused(pants, torus, four):
     for i, cx in enumerate(_pattern_cases(pants, torus, four)):
         _, t = _interior_t(cx, 200 + i)
@@ -345,6 +401,15 @@ def test_short_seams_from_the_gradient(pants, c):
         assert exact == pytest.approx(2.7775887729928041e-11, rel=1e-15)
 
 
+# from c = 710 on the Hessian's p(t) terms are subnormal; every
+# derivative call must still succeed where the gradient does
+@pytest.mark.parametrize("c", [720.0, 744.0])
+def test_long_arcs_with_subnormal_hessian(pants, c):
+    t, rep = maximize(pants, np.full(3, c))
+    assert rep.converged and rep.iterations == 0
+    assert np.all(extract_metric(pants, t).edge_lengths > 0.0)
+
+
 # lengths log-uniform in a wide range, on which an energy-based Armijo
 # test stalled: near the maximizer its acceptance hung on rounding noise
 # of the energy.  The audit is not asked, since these metrics have long
@@ -360,12 +425,13 @@ def test_wide_range_instances_converge(k, lo, hi):
 
 
 def test_kernel_calls_per_solve(monkeypatch):
-    # one gradient per interior point the solve visits (the start and the
-    # trial points inside the domain), one Hessian per Newton step and one
-    # energy per solve.  From this far start the line search rejects a
-    # trial point by its sufficient-increase test and another for leaving
-    # the domain, which costs no kernel call.
-    calls = dict.fromkeys(["theta", "theta_grad", "theta_hessian", "slice_point", "interior"], 0)
+    # one derivative call per interior point the solve visits (the start
+    # and the trial points inside the domain), no separate gradient or
+    # Hessian call, and one energy per solve.  From this far start the
+    # line search rejects a trial point by its sufficient-increase test
+    # and another for leaving the domain, which costs no kernel call.
+    names = ["theta", "theta_grad", "theta_hessian", "theta_derivatives"]
+    calls = dict.fromkeys(names + ["slice_point", "interior"], 0)
 
     def counted(module, name):
         f = getattr(module, name)
@@ -384,13 +450,13 @@ def test_kernel_calls_per_solve(monkeypatch):
     lengths = np.exp(rng.uniform(0.0, math.log(30.0), cx.num_edges))
     z, _, _ = forward_map(cx, lengths)
     t0 = perturbed_interior_start(cx, z, rng, spread=0.95)
-    for name in ("theta", "theta_grad", "theta_hessian"):
+    for name in names:
         counted(hexgeom, name)
     counted(coords, "slice_point")
     _, rep = maximize(cx, z, start_t=t0)
     assert calls["theta"] == 1
-    assert calls["theta_hessian"] == rep.iterations
-    assert calls["theta_grad"] == calls["interior"] > rep.iterations + 1
+    assert calls["theta_grad"] == calls["theta_hessian"] == 0
+    assert calls["theta_derivatives"] == calls["interior"] > rep.iterations + 1
     assert calls["slice_point"] > calls["interior"]
 
 
