@@ -223,3 +223,41 @@ def test_verify_metric_reports_overflowing_hexagon(pants):
     assert not report.ok
     assert "hexagon 1: realization residual above 1e-08" in report.failures
     assert not any(f.startswith("hexagon 0") for f in report.failures)
+
+
+def test_helpers_on_stacks_match_single_points():
+    # a (3, k) stack holds one point per column; each helper must give
+    # the bits it gives on the points one at a time
+    p = np.stack([random_point(RNG) for _ in range(40)], axis=1)
+    q = np.stack([random_point(RNG) for _ in range(40)], axis=1)
+    raw = 1.5 * q
+    dot, unit, dist = minkowski_dot(p, q), normalize_point(raw), distance(p, q)
+    assert p.shape == (3, 40) and dot.shape == dist.shape == (40,)
+    for j in range(40):
+        assert np.array_equal(dot[j], minkowski_dot(p[:, j], q[:, j]))
+        assert np.array_equal(unit[:, j], normalize_point(raw[:, j]))
+        assert np.array_equal(dist[j], distance(p[:, j], q[:, j]))
+
+
+@pytest.mark.parametrize("name", ["x_arcs", "edge_lengths", "boundary_lengths"])
+def test_verify_metric_rejects_wrong_length_field(pants, name):
+    # a too-short array must fail the audit by name, not broadcast
+    # against the re-summed totals or raise from numpy
+    t, _ = solver.maximize(pants, np.full(3, math.acosh(2.0)))
+    metric = solver.extract_metric(pants, t)
+    setattr(metric, name, getattr(metric, name)[:1])
+    report = verify_metric(pants, metric)
+    assert not report.ok
+    assert [f.split(":")[0] for f in report.failures] == [name]
+
+
+def test_verify_metric_edge_failure_reports_its_size(pants):
+    # an edge length off by 1e-3 leaves its two sides in agreement: the
+    # message must name the check that failed, with its size
+    t, _ = solver.maximize(pants, np.full(3, math.acosh(2.0)))
+    metric = solver.extract_metric(pants, t)
+    metric.edge_lengths = metric.edge_lengths.copy()
+    metric.edge_lengths[0] += 1e-3
+    (failure,) = verify_metric(pants, metric).failures
+    assert failure.startswith("edge e0: side lengths off the edge length by")
+    assert float(failure.split()[-1]) == pytest.approx(1e-3, rel=1e-6)

@@ -29,3 +29,10 @@ def test_demo_runs(script, data, trials, summary):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert summary in proc.stdout
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
