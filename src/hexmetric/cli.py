@@ -57,22 +57,23 @@ def _load_edge_values(path: str, cx: surface.HexComplex) -> np.ndarray:
         if isinstance(data.get(key), dict):
             data = data[key]
             break
+    index = {label: e for e, label in enumerate(cx.labels)}
     values = np.empty(cx.num_edges)
     seen = set()
     for key, v in data.items():
-        label = key if key in cx.labels else None
-        if label is None and key.isdigit() and int(key) < cx.num_edges:
-            label = cx.labels[int(key)]
-        if label is None:
+        e = index.get(key)
+        if e is None and key.isdigit() and int(key) < cx.num_edges:
+            e = int(key)
+        if e is None:
             raise InputError(f"unknown edge key {key!r}")
-        if label in seen:
+        if e in seen:
             raise InputError(f"duplicate edge key {key!r}")
-        seen.add(label)
+        seen.add(e)
         try:
-            values[cx.label_index(label)] = float(v)
+            values[e] = float(v)
         except (TypeError, ValueError) as exc:
             raise InputError(f"edge key {key!r}: {v!r} is not a number") from exc
-    missing = [lab for lab in cx.labels if lab not in seen]
+    missing = [label for e, label in enumerate(cx.labels) if e not in seen]
     if missing:
         raise InputError(f"missing edge keys: {', '.join(missing)}")
     return values
@@ -150,8 +151,6 @@ def cmd_solve(args) -> int:
 def cmd_forward(args) -> int:
     cx = _load_complex(args.file)
     lengths = _load_edge_values(args.lengths, cx)
-    if np.any(lengths <= 0.0):
-        raise InputError("edge lengths must be strictly positive")
     z, bl, x = solver.forward_map(cx, lengths)
     doc = {
         "z": _edge_map(cx, z),

@@ -4,7 +4,10 @@ Length structures, t-coordinates and per-edge invariants are stored as
 numpy arrays indexed by arc index (0..3n-1) or edge index (0..m-1) of a
 HexComplex.  An arc array reshaped to (n, 3) holds one triple per
 hexagon, and every map here is a gather or scatter through the
-complex's incidence arrays.  No feasibility decisions are made.
+complex's incidence arrays.  The slice with invariant z is mapped both
+ways here: `slice_point` takes free coordinates s to a t-coordinate,
+and `slice_coords` takes a t-coordinate back to its (z, s).  No
+feasibility decisions are made.
 """
 
 from __future__ import annotations
@@ -41,6 +44,15 @@ def slice_point(cx: HexComplex, z: np.ndarray, s: np.ndarray) -> np.ndarray:
     return 0.5 * z[cx.arc_edge] + cx.arc_sign * s[cx.arc_edge]
 
 
+def slice_coords(cx: HexComplex, t) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of slice_point: the invariant z of the t-coordinate t,
+    each facing pair's sum, and its free coordinates s, half of each
+    facing pair's difference.  A t of the wrong length raises
+    CoordinateError."""
+    pair = _as_arc_array(cx, t)[cx.edge_arcs]
+    return pair.sum(axis=1), 0.5 * (pair[:, 0] - pair[:, 1])
+
+
 def t_of(cx: HexComplex, x: np.ndarray) -> np.ndarray:
     """t(w) = (x(w') + x(w'') - x(w)) / 2 within each 2-cell."""
     x = _as_arc_array(cx, x)
@@ -62,7 +74,7 @@ def x_of(cx: HexComplex, t: np.ndarray) -> np.ndarray:
 
 def e_invariant(cx: HexComplex, x: np.ndarray) -> np.ndarray:
     """Per-edge invariant z(e) = t(w) + t(w') over the two facing arcs."""
-    return t_of(cx, x)[cx.edge_arcs].sum(axis=1)
+    return slice_coords(cx, t_of(cx, x))[0]
 
 
 def e_invariant_direct(cx: HexComplex, x: np.ndarray) -> np.ndarray:

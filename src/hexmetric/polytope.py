@@ -48,9 +48,9 @@ class PolytopeReport:
     status: str  # 'feasible' | 'boundary' | 'infeasible'
     lp_min: float
     boundary_values: np.ndarray
-    certificate: np.ndarray | None = None  # cone direction with z.y <= tol
+    certificate: np.ndarray | None = None  # cone direction with z.y <= TAU_FEAS
     witness: np.ndarray | None = None  # interior length structure
-    # edges of a closed edge cycle of least mean z (at most tol), in
+    # edges of a closed edge cycle of least mean z (at most TAU_FEAS), in
     # crossing order; certificate is their multiplicities over its length
     certificate_cycle: np.ndarray | None = None
 
@@ -213,13 +213,13 @@ def _margin_lp(cx: HexComplex, z: np.ndarray):
     if not np.all(np.isfinite(z)):
         raise ValueError("coordinate values must be finite")
     mu, d, cycle = _min_mean_cycle(*_arc_graph(cx, z))
-    s = 0.5 * (d[cx.edge_arcs[:, 0]] - d[cx.edge_arcs[:, 1]])
+    _, s = coords.slice_coords(cx, d)
     return mu, coords.slice_point(cx, z, s), cx.arc_edge[cycle]
 
 
-def _report(cx: HexComplex, z: np.ndarray, tol: float, mu: float, t, cycle) -> PolytopeReport:
+def _report(cx: HexComplex, z: np.ndarray, mu: float, t, cycle) -> PolytopeReport:
     boundary_values = coords.boundary_z_sums(cx, z)
-    if mu > tol:
+    if mu > TAU_FEAS:
         return PolytopeReport(
             feasible=True,
             status="feasible",
@@ -229,7 +229,7 @@ def _report(cx: HexComplex, z: np.ndarray, tol: float, mu: float, t, cycle) -> P
         )
     return PolytopeReport(
         feasible=False,
-        status="boundary" if mu >= -tol else "infeasible",
+        status="boundary" if mu >= -TAU_FEAS else "infeasible",
         lp_min=mu,
         boundary_values=boundary_values,
         certificate=np.bincount(cycle, minlength=cx.num_edges) / len(cycle),
@@ -237,26 +237,26 @@ def _report(cx: HexComplex, z: np.ndarray, tol: float, mu: float, t, cycle) -> P
     )
 
 
-def check_feasibility(cx: HexComplex, z, tol: float = TAU_FEAS) -> PolytopeReport:
+def check_feasibility(cx: HexComplex, z) -> PolytopeReport:
     """Decide whether z lies in the open feasibility polytope.
 
-    Feasible iff the normalized cone LP minimum exceeds `tol`; minima in
-    [-tol, tol] are reported as 'boundary' and treated as infeasible.
-    Infeasible reports carry the minimizing cone direction as a
-    certificate; feasible reports carry an interior length structure.
-    One margin LP gives both (see _margin_lp).
+    Feasible iff the normalized cone LP minimum exceeds TAU_FEAS; minima
+    in [-TAU_FEAS, TAU_FEAS] are reported as 'boundary' and treated as
+    infeasible.  Infeasible reports carry the minimizing cone direction
+    as a certificate; feasible reports carry an interior length
+    structure.  One margin LP gives both (see _margin_lp).
     """
     z = coords.edge_array(cx, z)
-    return _report(cx, z, tol, *_margin_lp(cx, z))
+    return _report(cx, z, *_margin_lp(cx, z))
 
 
-def interior_point(cx: HexComplex, z, tol: float = TAU_FEAS) -> np.ndarray:
+def interior_point(cx: HexComplex, z) -> np.ndarray:
     """A t-coordinate in the open slice with invariant z: the max-margin
     point of the facing-pair parametrization.  Raises
     InfeasibleCoordinateError (with the feasibility report) when no
     interior point exists."""
     z = coords.edge_array(cx, z)
     mu, t, y = _margin_lp(cx, z)
-    if mu <= tol:
-        raise InfeasibleCoordinateError(_report(cx, z, tol, mu, t, y))
+    if mu <= TAU_FEAS:
+        raise InfeasibleCoordinateError(_report(cx, z, mu, t, y))
     return t

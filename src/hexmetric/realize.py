@@ -140,8 +140,8 @@ def verify_metric(cx: HexComplex, metric: HyperbolicMetric, tol: float = 1e-8) -
     fails its hexagon, and a field of the wrong shape fails the audit
     with NaN residuals.
     """
-    bcs = cx.boundary_components()
-    expected = {"x_arcs": (3 * cx.n,), "edge_lengths": (cx.num_edges,), "boundary_lengths": (len(bcs),)}
+    num_boundary = len(cx.boundary_components())
+    expected = {"x_arcs": (3 * cx.n,), "edge_lengths": (cx.num_edges,), "boundary_lengths": (num_boundary,)}
     failures = [
         f"{name}: shape {np.shape(getattr(metric, name))}, expected {shape}"
         for name, shape in expected.items()
@@ -176,8 +176,8 @@ def verify_metric(cx: HexComplex, metric: HyperbolicMetric, tol: float = 1e-8) -
     for e in np.flatnonzero(~((err <= tol) & (mean_err <= tol))):
         off = "; ".join(f"{what} {r[e]:.3e}" for what, r in checks if not r[e] <= tol)
         failures.append(f"edge {cx.labels[e]}: {off}")
-    totals = [metric.x_arcs[list(bc.arcs)].sum() for bc in bcs]
-    boundary_err = np.abs(np.array(totals) - metric.boundary_lengths)
+    totals = np.bincount(cx.arc_boundary, weights=metric.x_arcs, minlength=num_boundary)
+    boundary_err = np.abs(totals - metric.boundary_lengths)
     max_boundary = float(boundary_err.max())
     for i in np.flatnonzero(~(boundary_err <= tol)):
         failures.append(f"boundary {i}: length sum off by {boundary_err[i]:.3e}")

@@ -29,15 +29,12 @@ Each Newton quantity is one hexgeom call on the (n, 3) array of all
 hexagons' t-triples, scattered to the edges through the complex's
 incidence arrays.  The reduced Hessian has 9 block entries per hexagon,
 scattered by one bincount through positions fixed once per complex
-(`HexComplex.hessian_pattern`).  On complexes of at most
-`_DIRECT_MAX_EDGES` edges they land in a dense (m, m) array, which each
-Newton step solves with LAPACK, cheaper there than the two dozen or so
-Python-level iterations an iterative solve takes; above that size the
-dense solve's cubic cost overtakes, so they land in a CSR matrix, and a
-short diagonally preconditioned conjugate-gradient loop solves it.  CG
-stops at the relative residual min(0.1, max|g_s|), the inexact-Newton
-forcing term (Dembo, Eisenstat and Steihaug 1982): loose far from the
-maximizer, tight near it, so the local convergence stays superlinear.
+(`HexComplex.hessian_pattern`).  One function, `_newton_step`, picks
+how each Newton step is solved, from the complex's edge count: on at
+most `_DIRECT_MAX_EDGES` edges the blocks land in a dense (m, m) array
+solved with LAPACK; above that size they land in a CSR matrix solved by
+a short diagonally preconditioned conjugate-gradient loop, stopped at
+the inexact-Newton forcing term.
 """
 
 from __future__ import annotations
@@ -118,16 +115,6 @@ class SolveError(RuntimeError):
         self.report = report
 
 
-def _s_of_t(cx: HexComplex, t: np.ndarray) -> np.ndarray:
-    """Free coordinates of a slice point: half the facing-pair difference."""
-    return 0.5 * (t[cx.edge_arcs[:, 0]] - t[cx.edge_arcs[:, 1]])
-
-
-def _achieved_z(cx: HexComplex, t: np.ndarray) -> np.ndarray:
-    """The per-edge invariant of t: the sum of each facing pair."""
-    return t[cx.edge_arcs].sum(axis=1)
-
-
 def domain_margin(cx: HexComplex, t: np.ndarray) -> float:
     """Smallest pairwise t-sum over all 2-cells."""
     return float(np.min(hexgeom.pair_sums(np.reshape(t, (cx.n, 3)))))
@@ -141,14 +128,9 @@ def energy(cx: HexComplex, t: np.ndarray) -> float:
     return float(hexgeom.theta(t.reshape(cx.n, 3)).sum())
 
 
-def edge_side_lengths(cx: HexComplex, t: np.ndarray) -> np.ndarray:
-    """(m, 2) array: the y-length each side's hexagon assigns to every
-    edge under the realization with x-lengths from t."""
-    return _side_lengths(cx, hexgeom.theta_grad(np.reshape(t, (cx.n, 3))))
-
-
 def _side_lengths(cx: HexComplex, grad: np.ndarray) -> np.ndarray:
-    """edge_side_lengths from the hexagons' (n, 3) energy gradients."""
+    """(m, 2) array: the y-length each side's hexagon assigns to every
+    edge, from the hexagons' (n, 3) energy gradients."""
     return hexgeom.y_of_grad(grad).ravel()[cx.edge_arcs]
 
 
@@ -158,15 +140,12 @@ def _reduced_gradient(cx: HexComplex, grad: np.ndarray) -> np.ndarray:
     return np.bincount(cx.arc_edge, weights=cx.arc_sign * grad.ravel(), minlength=cx.num_edges)
 
 
-def _neg_hessian(cx: HexComplex, hess: np.ndarray):
+def _neg_hessian_dense(cx: HexComplex, hess: np.ndarray) -> np.ndarray:
     """Negated Hessian -H of the energy in s, symmetric positive definite,
-    from the hexagons' (n, 3, 3) Hessian blocks: a dense (m, m) array on
-    complexes of at most _DIRECT_MAX_EDGES edges, the CSR matrix of
-    _neg_hessian_csr above.  Entries that share a position are summed by
-    the bincount in the same order as in the CSR data."""
+    as a dense (m, m) array from the hexagons' (n, 3, 3) Hessian blocks.
+    Entries that share a position are summed by the bincount in the same
+    order as in the CSR data of _neg_hessian_csr."""
     m = cx.num_edges
-    if m > _DIRECT_MAX_EDGES:
-        return _neg_hessian_csr(cx, hess)
     pattern = cx.hessian_pattern
     flat = np.bincount(pattern.flat, weights=pattern.neg_sign * hess.ravel(), minlength=m * m)
     return flat.reshape(m, m)
@@ -183,13 +162,6 @@ def _neg_hessian_csr(cx: HexComplex, hess: np.ndarray):
         pattern.slot, weights=pattern.neg_sign * hess.ravel(), minlength=len(pattern.indices)
     )
     return csr_array((data, pattern.indices, pattern.indptr), shape=(cx.num_edges,) * 2)
-
-
-def _newton_system(cx: HexComplex, t: np.ndarray):
-    """Gradient g_s and negated Hessian -H (as CSR) of the energy in the
-    free coordinates s, at one point."""
-    grad, hess = hexgeom.theta_derivatives(t.reshape(cx.n, 3))
-    return _reduced_gradient(cx, grad), _neg_hessian_csr(cx, hess)
 
 
 def _pcg(a, b: np.ndarray, inv_diag: np.ndarray, rtol: float = _CG_RTOL) -> tuple[np.ndarray, int]:
@@ -214,6 +186,32 @@ def _pcg(a, b: np.ndarray, inv_diag: np.ndarray, rtol: float = _CG_RTOL) -> tupl
     return x, 10 * len(b)
 
 
+def _newton_step(cx: HexComplex, hess: np.ndarray, g_s: np.ndarray, grad_norm: float) -> tuple[np.ndarray, int]:
+    """The Newton step: the solution of -H step = g_s, with -H from the
+    hexagons' Hessian blocks hess; and the CG iterations it took.
+
+    -H is symmetric positive definite.  On at most _DIRECT_MAX_EDGES
+    edges it is solved dense with LAPACK, cheaper there than the two
+    dozen or so Python-level iterations an iterative solve takes.  Above
+    that the dense solve's cubic cost overtakes; -H is diagonally
+    dominant, so diagonally preconditioned CG converges fast where a
+    sparse LU would fill in.  CG stops at the relative residual
+    min(0.1, grad_norm), the inexact-Newton forcing term (Dembo,
+    Eisenstat and Steihaug 1982): loose far from the maximizer, tight
+    near it, so the local convergence stays superlinear; an inexact
+    step is still an ascent direction.
+    """
+    if cx.num_edges <= _DIRECT_MAX_EDGES:
+        neg_h = _neg_hessian_dense(cx, hess)
+        try:
+            return np.linalg.solve(neg_h, g_s), 0
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(f"Newton system is singular: {exc}") from exc
+    neg_h = _neg_hessian_csr(cx, hess)
+    rtol = max(_CG_RTOL, min(0.1, grad_norm))
+    return _pcg(neg_h, g_s, 1.0 / neg_h.data[cx.hessian_pattern.diagonal], rtol)
+
+
 def maximize(
     cx: HexComplex,
     z,
@@ -225,16 +223,18 @@ def maximize(
     the max-margin interior point is used."""
     cfg = cfg or SolveConfig()
     z = coords.edge_array(cx, z)
-    if start_t is None:
-        t = polytope.interior_point(cx, z)
-    else:
-        t = np.asarray(start_t, dtype=float)
-        if not np.allclose(_achieved_z(cx, t), z, atol=1e-9):
-            raise SolveError("start point does not satisfy the slice equalities")
-    s = _s_of_t(cx, t)
+    t = polytope.interior_point(cx, z) if start_t is None else start_t
+    start_z, s = coords.slice_coords(cx, t)
+    if start_t is not None and not np.allclose(start_z, z, atol=1e-9):
+        raise SolveError("start point does not satisfy the slice equalities")
     t = coords.slice_point(cx, z, s)
     if domain_margin(cx, t) <= _MARGIN_FLOOR:
         raise SolveError("starting point is not interior")
+
+    def report(iterations: int, converged: bool) -> SolveReport:
+        achieved_z, _ = coords.slice_coords(cx, t)
+        return SolveReport(iterations, grad_norm, mismatch, energy(cx, t), achieved_z, converged, cg_iterations)
+
     # the hexagons' energy gradients and Hessians at t and the reduced
     # gradient, from which the stopping rule and the next step are read
     grad, hess = hexgeom.theta_derivatives(t.reshape(cx.n, 3))
@@ -245,31 +245,9 @@ def maximize(
         mismatch = float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
         grad_norm = float(np.max(np.abs(g_s)))
         if grad_norm < cfg.tol and mismatch < cfg.tol:
-            report = SolveReport(
-                iterations=it - 1,
-                grad_norm=grad_norm,
-                consistency=mismatch,
-                energy=energy(cx, t),
-                achieved_z=_achieved_z(cx, t),
-                converged=True,
-                cg_iterations=cg_iterations,
-            )
-            return t, report
-        # -H is symmetric positive definite.  A small one is solved dense;
-        # a large one is diagonally dominant, so diagonally preconditioned
-        # CG converges fast where a sparse LU would fill in and a dense
-        # solve costs m^3.  CG stops at the forcing term; an inexact step
-        # is still an ascent direction.
-        neg_h = _neg_hessian(cx, hess)
-        if cx.num_edges <= _DIRECT_MAX_EDGES:
-            try:
-                step = np.linalg.solve(neg_h, g_s)
-            except np.linalg.LinAlgError as exc:
-                raise SolveError(f"Newton system is singular: {exc}") from exc
-        else:
-            rtol = max(_CG_RTOL, min(0.1, grad_norm))
-            step, k = _pcg(neg_h, g_s, 1.0 / neg_h.data[cx.hessian_pattern.diagonal], rtol)
-            cg_iterations += k
+            return t, report(it - 1, True)
+        step, k = _newton_step(cx, hess, g_s, grad_norm)
+        cg_iterations += k
         slope = float(g_s @ step)
         if slope < 0.0:
             raise SolveError("Newton direction is not an ascent direction")
@@ -282,7 +260,7 @@ def maximize(
                 raise SolveError(
                     "line search stalled at the domain boundary; the "
                     "coordinate is infeasible or numerically near-boundary",
-                    SolveReport(it, grad_norm, mismatch, energy(cx, t), z.copy(), False, cg_iterations),
+                    report(it, False),
                 )
             s_try = s + alpha * step
             t_try = coords.slice_point(cx, z, s_try)
@@ -293,10 +271,7 @@ def maximize(
                     break
             alpha *= _BACKTRACK
         s, t, grad, hess, g_s = s_try, t_try, grad_try, hess_try, g_try
-    raise SolveError(
-        f"no convergence within {cfg.max_iter} Newton iterations",
-        SolveReport(cfg.max_iter, grad_norm, mismatch, energy(cx, t), z.copy(), False, cg_iterations),
-    )
+    raise SolveError(f"no convergence within {cfg.max_iter} Newton iterations", report(cfg.max_iter, False))
 
 
 def extract_metric(cx: HexComplex, t: np.ndarray, cfg: SolveConfig | None = None) -> HyperbolicMetric:
@@ -306,7 +281,7 @@ def extract_metric(cx: HexComplex, t: np.ndarray, cfg: SolveConfig | None = None
     cfg = cfg or SolveConfig()
     t = np.asarray(t, dtype=float)
     x = coords.x_of(cx, t)
-    sides = edge_side_lengths(cx, t)
+    sides = _side_lengths(cx, hexgeom.theta_grad(t.reshape(cx.n, 3)))
     mismatch = float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
     if mismatch > cfg.tol:
         raise SolveError(
@@ -350,11 +325,11 @@ def perturbed_interior_start(
     """A random interior point of the slice, for multi-start tests: a
     perturbation of the interior point t0 of the slice, by default the
     max-margin one."""
-    z = np.asarray(z, dtype=float)
+    z = coords.edge_array(cx, z)
     if t0 is None:
         t0 = polytope.interior_point(cx, z)
+    _, s0 = coords.slice_coords(cx, t0)
     mu = domain_margin(cx, t0)
-    s0 = _s_of_t(cx, t0)
     scale = spread * mu
     while True:
         s = s0 + rng.uniform(-scale, scale, cx.num_edges)

@@ -254,9 +254,6 @@ class HexComplex:
         """Edges at y-positions 1, 3, 5 (with repetition if self-glued)."""
         return tuple(self.hex_edges[h].tolist())
 
-    def label_index(self, label: str) -> int:
-        return self.labels.index(label)
-
     # -- facing ---------------------------------------------------------
 
     def facing_arcs(self, e: int) -> tuple[int, int]:

@@ -214,6 +214,18 @@ def test_polytope_truncation(pants_file, capsys):
     assert doc["truncated"] is True
 
 
+def test_edge_keys_in_another_order_than_the_labels(tmp_path, capsys):
+    path = tmp_path / "pants.json"
+    path.write_text(json.dumps(dict(PANTS_DOC, labels=["c", "a", "b"])))
+    z_val = {"b": 1.2, "a": 1.05, "c": 0.9}
+    z = write_coords(tmp_path, "z.json", z_val)
+    assert run(["solve", str(path), "--z", z]) == 0
+    achieved = json.loads(capsys.readouterr().out)["achieved_z"]
+    assert list(achieved) == ["c", "a", "b"]
+    for k, v in z_val.items():
+        assert achieved[k] == pytest.approx(v, abs=1e-10)
+
+
 def test_integer_edge_keys_accepted(pants_file, tmp_path, capsys):
     z = write_coords(tmp_path, "z.json", {"0": 1, "1": 1, "2": 1})
     assert run(["feasible", pants_file, "--z", z]) == 0

@@ -134,6 +134,17 @@ def test_verify_metric_detects_injected_fault(pants):
     assert any("edge" in f for f in report.failures)
 
 
+def test_verify_metric_detects_boundary_fault(four):
+    lengths = RNG.uniform(0.5, 2.0, four.num_edges)
+    z, _, _ = solver.forward_map(four, lengths)
+    t, _ = solver.maximize(four, z)
+    metric = solver.extract_metric(four, t)
+    metric.boundary_lengths[1] += 1e-3
+    report = verify_metric(four, metric)
+    assert not report.ok
+    assert report.failures == ["boundary 1: length sum off by 1.000e-03"]
+
+
 def test_verify_metric_detects_corrupt_hexagon(four):
     lengths = RNG.uniform(0.5, 2.0, four.num_edges)
     z, _, _ = solver.forward_map(four, lengths)

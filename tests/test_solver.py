@@ -51,8 +51,23 @@ def test_z_of_the_wrong_length_is_a_coordinate_error(four, extra):
         lambda: polytope.interior_point(four, bad),
         lambda: maximize(four, bad),
         lambda: maximize(four, bad, start_t=t0),
+        lambda: perturbed_interior_start(four, bad, RNG, t0=t0),
     ):
         with pytest.raises(coords.CoordinateError, match="expected 6 edge values"):
+            call()
+
+
+@pytest.mark.parametrize("shape", [7, 5, (2, 3)])
+def test_start_of_the_wrong_length_is_a_coordinate_error(pants, shape):
+    # a 7-entry start holds the 6 entries of an on-slice start first
+    z = np.array([0.9, 1.2, 1.05])
+    t0 = polytope.interior_point(pants, z)
+    bad = np.resize(t0, shape)
+    for call in (
+        lambda: maximize(pants, z, start_t=bad),
+        lambda: perturbed_interior_start(pants, z, RNG, t0=bad),
+    ):
+        with pytest.raises(coords.CoordinateError, match="expected 6 arc values"):
             call()
 
 
@@ -130,7 +145,7 @@ def test_reduced_gradient_matches_finite_differences(pants):
     s = np.array(
         [0.5 * (t[pants.facing_arcs(e)[0]] - t[pants.facing_arcs(e)[1]]) for e in range(3)]
     )
-    g_s, neg_h = solver._newton_system(pants, t)
+    g_s, neg_h = _newton_system(pants, t)
     h_s = -neg_h.toarray()
     h = 1e-6
     for e in range(3):
@@ -148,7 +163,7 @@ def test_reduced_gradient_matches_finite_differences(pants):
 def test_gradient_vanishes_iff_sides_match(pants):
     z = np.array([0.8, 1.2, 1.0])
     t_star, _ = maximize(pants, z)
-    sides = solver.edge_side_lengths(pants, t_star)
+    sides = solver._side_lengths(pants, hexgeom.theta_grad(t_star.reshape(pants.n, 3)))
     assert np.max(np.abs(sides[:, 0] - sides[:, 1])) < 1e-10
 
 
@@ -194,7 +209,7 @@ def test_singular_newton_system_is_a_solve_error(four, monkeypatch):
     # np.linalg.solve's LinAlgError is a ValueError, which the CLI would
     # report as bad input; maximize reports it as a failed solve
     m = four.num_edges
-    monkeypatch.setattr(solver, "_neg_hessian", lambda cx, hess: np.zeros((m, m)))
+    monkeypatch.setattr(solver, "_neg_hessian_dense", lambda cx, hess: np.zeros((m, m)))
     with pytest.raises(SolveError, match="singular"):
         maximize(four, np.array([0.3, 1.7, 0.9, 1.1, 0.6, 1.4]))
 
@@ -260,8 +275,14 @@ def _dense_hessian(cx, t):
     return h
 
 
+def _newton_system(cx, t):
+    """Gradient g_s and negated Hessian -H (as CSR) in the free coordinates s at t."""
+    grad, hess = hexgeom.theta_derivatives(t.reshape(cx.n, 3))
+    return solver._reduced_gradient(cx, grad), solver._neg_hessian_csr(cx, hess)
+
+
 def _cg_step(cx, t):
-    g_s, neg_h = solver._newton_system(cx, t)
+    g_s, neg_h = _newton_system(cx, t)
     step, _ = solver._pcg(neg_h, g_s, 1.0 / neg_h.diagonal())
     return g_s, neg_h, step
 
@@ -269,7 +290,7 @@ def _cg_step(cx, t):
 def test_hessian_pattern_matches_dense_assembly(pants, torus, four):
     for i, cx in enumerate(_pattern_cases(pants, torus, four)):
         _, t = _interior_t(cx, i)
-        _, neg_h = solver._newton_system(cx, t)
+        _, neg_h = _newton_system(cx, t)
         dense = _dense_hessian(cx, t)
         assert np.max(np.abs(-neg_h.toarray() - dense)) <= 1e-15
         assert neg_h.nnz == np.count_nonzero(dense)
@@ -290,7 +311,7 @@ def test_dense_newton_system_matches_csr(pants, torus, four):
         assert cx.num_edges <= solver._DIRECT_MAX_EDGES
         _, t = _interior_t(cx, 500 + i)
         _, hess = hexgeom.theta_derivatives(t.reshape(cx.n, 3))
-        dense = solver._neg_hessian(cx, hess)
+        dense = solver._neg_hessian_dense(cx, hess)
         assert isinstance(dense, np.ndarray) and dense.shape == (cx.num_edges,) * 2
         np.testing.assert_array_equal(dense, solver._neg_hessian_csr(cx, hess).toarray())
 
@@ -320,13 +341,13 @@ def test_dense_round_trip_does_not_import_scipy_sparse():
 def test_hessian_pattern_is_read_only_and_reused(pants, torus, four):
     for i, cx in enumerate(_pattern_cases(pants, torus, four)):
         _, t = _interior_t(cx, 200 + i)
-        solver._newton_system(cx, t)
+        _newton_system(cx, t)
         pattern = cx.hessian_pattern
         for a in pattern:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
-        solver._newton_system(cx, t)
+        _newton_system(cx, t)
         assert cx.hessian_pattern is pattern
         assert len(pattern.diagonal) == cx.num_edges
 
@@ -338,7 +359,7 @@ def test_cg_step_near_the_maximizer(pants, torus, four):
         z, t0 = _interior_t(cx, 300 + i)
         t_star, _ = maximize(cx, z, start_t=t0)
         u = np.random.default_rng(i).standard_normal(cx.num_edges)
-        t = coords.slice_point(cx, z, solver._s_of_t(cx, t_star) + 1e-11 * u)
+        t = coords.slice_point(cx, z, coords.slice_coords(cx, t_star)[1] + 1e-11 * u)
         g_s, neg_h, step = _cg_step(cx, t)
         assert 1e-13 < np.linalg.norm(g_s) < 1e-9
         assert np.all(np.isfinite(step))
