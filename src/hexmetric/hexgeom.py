@@ -4,7 +4,8 @@ A colored right-angled hyperbolic hexagon has alternating x-sides and
 y-sides, with y_i opposite x_i.  Everything here is a pure function of
 the three x-lengths (or of the half-difference coordinates t_i), namely:
 
-* the cosine law in both directions, and the y-sides from the gradient,
+* the cosine law in both directions, in a log-sum form that neither
+  cancels nor overflows, and the y-sides from the gradient,
 * the antiderivatives of ln cosh and ln sinh (via the dilogarithm),
 * the concave per-hexagon energy, its exact gradient and Hessian (one
   at a time, or both from one call that shares their terms),
@@ -107,31 +108,35 @@ def _check_positive(v: np.ndarray, name: str) -> None:
     _require((v > 0.0) & np.isfinite(v), v, f"{name} must be strictly positive and finite")
 
 
-def arccosh(w):
-    """arccosh(w) = ln(w + sqrt((w-1)(w+1))), stable for w near 1;
-    arguments within 1e-12 below 1 are rounded up to 1."""
-    w = np.asarray(w, dtype=float)
-    if not np.all(w >= 1.0 - 1e-12):
-        raise DomainError(f"arccosh argument below 1: {np.min(w)}")
-    w = np.maximum(w, 1.0)
-    return np.log(w + np.sqrt((w - 1.0) * (w + 1.0)))
+def _c(u):
+    return np.log1p(np.exp(-2.0 * np.abs(u)))
 
 
 def cosine_law_y(x):
-    """y-side lengths from x-side lengths.
+    """y-side lengths from x-side lengths by the cosine law
+    cosh y_i = (cosh x_i + cosh x_j cosh x_k) / (sinh x_j sinh x_k).
 
-    cosh y_i = (cosh x_i + cosh x_j cosh x_k) / (sinh x_j sinh x_k); the
-    argument exceeds 1 for every positive x, so the law is total.
+    As cosh x_j cosh x_k - sinh x_j sinh x_k = cosh(x_j - x_k), the log
+    of 2 sinh^2(y_i/2) = cosh y_i - 1 is a log-sum in which, with c and
+    d of the module docstring, the terms linear in x cancel exactly:
+    sinh(y_i/2) = e^h with 2h = d(x_j) + d(x_k) + logaddexp(x_i - x_j - x_k
+    + c(x_i), c(x_j - x_k) - 2 min(x_j, x_k)).  Nothing cancels or
+    overflows, so the law is total and accurate from subnormal x up to
+    about 9e307, where 2x overflows and FloatingPointError is raised.
     """
     x = np.asarray(x, dtype=float)
     _check_positive(x, "x")
     with _raising():
-        c, s = np.cosh(x), np.sinh(x)
-        return arccosh((c + c[..., _J] * c[..., _K]) / (s[..., _J] * s[..., _K]))
+        xj, xk = x[..., _J], x[..., _K]
+        d = -np.log(-np.expm1(-2.0 * x))
+        lse = np.logaddexp(x - xj - xk + _c(x), _c(xj - xk) - 2.0 * np.minimum(xj, xk))
+        h = 0.5 * (d[..., _J] + d[..., _K] + lse)
+        # y = 2 asinh(e^h), which is 2h + 2 ln 2 to within an ulp from h = 20
+        return np.where(h > 20.0, 2.0 * (h + _LN2), 2.0 * np.arcsinh(np.exp(np.minimum(h, 20.0))))
 
 
 def cosine_law_x(y):
-    """Inverse law, x-side lengths from y-side lengths: the same formula
+    """Inverse law, x-side lengths from y-side lengths: the same law
     with the colors swapped, total on positive triples."""
     y = np.asarray(y, dtype=float)
     _check_positive(y, "y")
@@ -141,7 +146,7 @@ def cosine_law_x(y):
 def y_of_grad(g):
     """y-side lengths from theta's gradient g_i = ln cosh(y_i/2):
     y = 2 ln(1 + u + sqrt(u (2 + u))) with u = e^g - 1, which keeps every
-    digit of a short side, where the cosine law rounds its argument to 1."""
+    digit of a short side and reuses the gradient at no cost."""
     g = np.asarray(g, dtype=float)
     with _raising():
         u = np.expm1(g)

@@ -13,8 +13,7 @@ s_e is ln cosh(y_a/2) - ln cosh(y_b/2).
 The gradient component of hexagon side i is ln cosh(y_i/2), so one
 gradient call holds every seam length too:
 y = 2 ln(1 + u + sqrt(u (2 + u))) with u = e^g - 1, exact to the last
-digit or two where the cosine law in x rounds short seams to 0 or
-overflows.  Each point the solve visits inside the domain (the start
+digit or two.  Each point the solve visits inside the domain (the start
 and every trial point) costs one derivative call, which gives the
 gradient and the Hessian there from the terms they share; the accepted
 trial point's pair is the next step's gradient, seam lengths, length
@@ -240,12 +239,14 @@ def maximize(
     grad, hess = hexgeom.theta_derivatives(t.reshape(cx.n, 3))
     g_s = _reduced_gradient(cx, grad)
     cg_iterations = 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(cfg.max_iter + 1):
         sides = _side_lengths(cx, grad)
         mismatch = float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
         grad_norm = float(np.max(np.abs(g_s)))
         if grad_norm < cfg.tol and mismatch < cfg.tol:
-            return t, report(it - 1, True)
+            return t, report(it, True)
+        if it == cfg.max_iter:
+            raise SolveError(f"no convergence within {cfg.max_iter} Newton iterations", report(it, False))
         step, k = _newton_step(cx, hess, g_s, grad_norm)
         cg_iterations += k
         slope = float(g_s @ step)
@@ -271,7 +272,6 @@ def maximize(
                     break
             alpha *= _BACKTRACK
         s, t, grad, hess, g_s = s_try, t_try, grad_try, hess_try, g_try
-    raise SolveError(f"no convergence within {cfg.max_iter} Newton iterations", report(cfg.max_iter, False))
 
 
 def extract_metric(cx: HexComplex, t: np.ndarray, cfg: SolveConfig | None = None) -> HyperbolicMetric:

@@ -234,7 +234,7 @@ def test_integer_edge_keys_accepted(pants_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, key, value",
     [
-        ("forward", "--lengths", 800.0),  # OverflowError in the cosine law
+        ("forward", "--lengths", 1e308),  # FloatingPointError: 2x overflows in the cosine law
         ("solve", "--z", 800.0),  # hexgeom.DomainError: the gradient underflows to 0
         ("solve --max-iter 0", "--z", 1.0),  # ValueError from SolveConfig
     ],
@@ -243,6 +243,21 @@ def test_numeric_range_errors_exit_input(pants_file, tmp_path, capsys, command, 
     values = write_coords(tmp_path, "v.json", {"e0": value, "e1": value, "e2": value})
     assert run([*command.split(), pants_file, key, values]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_forward_with_long_seams_matches_mpmath(pants_file, tmp_path, capsys):
+    # the symmetric pants with seams c has x = acosh(cosh c / (cosh c - 1))
+    # on every arc, and z = x; at c = 800 that is about 4e-174
+    import mpmath
+
+    c = 800.0
+    lengths = write_coords(tmp_path, "l.json", {"e0": c, "e1": c, "e2": c})
+    assert run(["forward", pants_file, "--lengths", lengths]) == 0
+    with mpmath.workdps(int(40 + c / math.log(10.0))):
+        w = mpmath.cosh(c)
+        exact = float(mpmath.acosh(w / (w - 1)))
+    for v in json.loads(capsys.readouterr().out)["z"].values():
+        assert v == pytest.approx(exact, rel=1e-12)
 
 
 def _with_first_gluing(**update):

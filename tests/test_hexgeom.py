@@ -56,6 +56,36 @@ def test_sine_law(x):
     assert max(ratios) - min(ratios) < 1e-12 * max(ratios)
 
 
+def _cosine_law_mp(v):
+    """The cosine law in mpmath, in its textbook form: acosh(1 + w) with w
+    as small as e^{-2 max(v)} needs about 0.9 max(v) digits beyond 60."""
+    import mpmath
+
+    with mpmath.workdps(60 + int(0.9 * max(v))):
+        c = [mpmath.cosh(mpmath.mpf(u)) for u in v]
+        s = [mpmath.sinh(mpmath.mpf(u)) for u in v]
+        pairs = ((1, 2), (2, 0), (0, 1))
+        return [float(mpmath.acosh((c[i] + c[j] * c[k]) / (s[j] * s[k]))) for i, (j, k) in enumerate(pairs)]
+
+
+@pytest.mark.parametrize("law", [hexgeom.cosine_law_y, hexgeom.cosine_law_x])
+def test_cosine_law_matches_mpmath(law):
+    # log-uniform triples over ten and a half decades, whose opposite
+    # sides run from about 1e-217 up to about 38
+    v = np.exp(np.random.default_rng(20261019).uniform(math.log(1e-8), math.log(500.0), (300, 3)))
+    exact = np.array([_cosine_law_mp(row) for row in v])
+    assert np.max(np.abs(law(v) / exact - 1.0)) <= 1e-12
+    assert law((50.0, 50.0, 50.0)) == pytest.approx([2.7775887729928041e-11] * 3, rel=1e-14)
+
+
+@given(st.tuples(*(st.floats(min_value=5e-324, max_value=1e300) for _ in range(3))))
+@settings(max_examples=300, deadline=None)
+def test_cosine_law_is_total(v):
+    for law in (hexgeom.cosine_law_y, hexgeom.cosine_law_x):
+        out = law(v)
+        assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+
+
 def test_theta_frozen_values():
     # frozen from the quadrature oracle for the antiderivatives
     assert hexgeom.theta((1.0, 1.0, 1.0)) == pytest.approx(
@@ -311,15 +341,21 @@ def test_stacked_triples_match_per_row_calls():
         (hexgeom.theta_grad, (400.0, 400.0, 400.0)),  # sinh overflows
         (hexgeom.theta_hessian, (400.0, 400.0, 400.0)),
         (hexgeom.theta_hessian, (1.0, np.inf, 1.0)),
-        (hexgeom.cosine_law_y, (800.0, 1.0, 1.0)),  # cosh overflows
+        (hexgeom.cosine_law_y, (1e308, 1.0, 1.0)),  # 2x overflows
         (hexgeom.cosine_law_y, (1.0, 0.0, 1.0)),
     ],
 )
 def test_one_bad_row_raises(f, row):
-    rows = np.array([random_t(RNG) for _ in range(8)])
+    # the other rows lie in f's domain, so row 5 is the one that raises
+    if f is hexgeom.cosine_law_y:
+        rows = RNG.uniform(0.05, 5.0, (8, 3))
+    else:
+        rows = np.array([random_t(RNG) for _ in range(8)])
     rows[5] = row
-    with pytest.raises((hexgeom.DomainError, ArithmeticError)):
+    with pytest.raises((hexgeom.DomainError, ArithmeticError)) as exc:
         f(rows)
+    if exc.type is hexgeom.DomainError:
+        assert str(tuple(rows[5].tolist())) in str(exc.value)
 
 
 # the theta_grad and theta_hessian rows of test_one_bad_row_raises

@@ -198,7 +198,7 @@ def test_verify_metric_at_scale():
     assert not verify_metric(cx, metric).ok
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, np.inf])  # NaN: test_verify_metric_at_scale
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, 1e308])  # NaN: test_verify_metric_at_scale
 def test_verify_metric_reports_out_of_domain_hexagon(four, value):
     lengths = RNG.uniform(0.5, 2.0, four.num_edges)
     z, _, _ = solver.forward_map(four, lengths)
@@ -224,9 +224,10 @@ def test_verify_metric_reports_walk_off_the_hyperboloid(pants):
 
 
 def test_verify_metric_reports_overflowing_hexagon(pants):
-    # (400, 400, 400) is positive and finite, but cosh 400 * cosh 400
-    # overflows in its cosine law: that hexagon fails, the other is
-    # still walked, and nothing raises
+    # (400, 400, 400) is positive and finite, and its cosine law gives
+    # y = 2.8e-87, but the walk's coordinates reach e^400 and leave the
+    # hyperboloid: that hexagon fails, the other is still walked, and
+    # nothing raises
     t, _ = solver.maximize(pants, np.full(3, math.acosh(2.0)))
     metric = solver.extract_metric(pants, t)
     metric.x_arcs[3:6] = 400.0  # hexagon 1

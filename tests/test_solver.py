@@ -194,15 +194,27 @@ def test_infeasible_z_raises(pants):
         maximize(pants, np.array([-3.0, 1.0, 1.0]))
 
 
-def test_non_convergence_reported(four):
+def test_non_convergence_reported(four, monkeypatch):
     # on pants every z's max-margin start is already the maximizer; on
     # four this one takes several Newton steps
     cfg = SolveConfig(max_iter=1, tol=1e-14)
     z = np.array([0.3, 1.7, 0.9, 1.1, 0.6, 1.4])
+    reported = []
+    energy = solver.energy
+    monkeypatch.setattr(solver, "energy", lambda cx, t: reported.append(t.copy()) or energy(cx, t))
     with pytest.raises(SolveError) as exc:
         maximize(four, z, cfg)
-    assert exc.value.report is not None
-    assert not exc.value.report.converged
+    report = exc.value.report
+    assert report is not None
+    assert not report.converged
+    # every field describes the point whose energy is reported: the one
+    # after the single step taken
+    (t,) = reported
+    grad = hexgeom.theta_grad(t.reshape(four.n, 3))
+    sides = solver._side_lengths(four, grad)
+    assert report.iterations == 1
+    assert report.grad_norm == np.max(np.abs(solver._reduced_gradient(four, grad)))
+    assert report.consistency == np.max(np.abs(sides[:, 0] - sides[:, 1]))
 
 
 def test_singular_newton_system_is_a_solve_error(four, monkeypatch):
@@ -406,7 +418,7 @@ def test_round_trip_on_both_sides_of_the_dense_cutoff(n):
 
 # pants with z = c on every edge is the symmetric metric with x = c, whose
 # seams have cosh y = cosh c / (cosh c - 1): y is about 4 e^{-c/2}, which
-# the cosine law in x rounds to 0 at c = 50 and overflows at c = 400
+# the solve reads from the gradient, as far as c = 700
 @pytest.mark.parametrize("c", [50.0, 400.0, 700.0])
 def test_short_seams_from_the_gradient(pants, c):
     import mpmath
