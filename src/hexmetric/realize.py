@@ -3,12 +3,13 @@
 Independent geometric oracle: `realize_hexagons` builds a stack of
 right-angled hexagons, given as (n, 3) x-side triples, vertex-by-vertex
 on the sheet x0 > 0 of <p,p> = -1 in Minkowski 3-space, by walking
-their boundaries (translate along a side, turn a right angle) and
-measuring everything back.  The walk runs on component rows: a stack
-of points has shape (3, ...), so each coordinate is one contiguous row.
-It shares no code with the energy: of `hexgeom` only the cosine law is
-used, to get the y-sides to walk.  `verify_metric` audits a solved
-metric with it.
+their boundaries with a carried Lorentz frame (translate along a side,
+turn a right angle) into a ring of vertices whose end slots repeat the
+wrap-around vertices, and measuring everything back, the closure from
+the walk's end projected onto the sheet.  A stack of points has shape
+(3, ...), so each coordinate is one contiguous row.  It shares no code
+with the energy: of `hexgeom` only the cosine law is used, to get the
+y-sides to walk.  `verify_metric` audits a solved metric with it.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ def realize_hexagons(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     (so that y_i is opposite x_i), turning a quarter turn at every
     corner.  Each walk starts at (1,0,0) half-way along its hexagon's
     longest side and ends back there: coordinates grow like e^distance
-    from the start, and so does their rounding error.  Side lengths and
-    corner angles are then measured back from the vertices alone; the
-    distance between the walk's two ends is the construction residual.
-    The walk and the measurement run on component rows: the walk's
-    points are one (3, 8, n) array.
+    from the start, and so does their rounding error.  The walk carries
+    a frame (p, u, w), point, tangent and left normal: a side of length
+    l and a left quarter turn map it to (ch l p + sh l u, w, -(sh l p +
+    ch l u)), a Lorentz map, so nothing is renormalised.  Sides and
+    corners are measured back from the vertices alone; the closure
+    residual is the walk end's distance, on the sheet, from its start.
 
     Returns the vertices (n, 6, 3), reported from the start of side x1,
     the measured side lengths (n, 6), and the angle and closure
@@ -73,37 +75,27 @@ def realize_hexagons(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     steps[[0, 6]] *= 0.5
     with np.errstate(all="ignore"):
         ch, sh = np.cosh(steps), np.sinh(steps)
-        walk = np.empty((3, 8, n))
-        walk[:, 0] = [[1.0], [0.0], [0.0]]
-        u = np.zeros((3, n))
-        u[1] = 1.0
-        turn = np.empty((3, n))
-        for i in range(7):
-            # move along the geodesic with unit tangent u, carrying u along
-            p = walk[:, i]
-            walk[:, i + 1] = normalize_point(ch[i] * p + sh[i] * u)
-            u = sh[i] * p + ch[i] * u
-            p = walk[:, i + 1]
-            if i < 6:  # a corner; the last step ends mid-side
-                # re-orthonormalize the frame to stop drift from
-                # accumulating, then turn a quarter turn: diag(-1, 1, 1)
-                # applied to p x u completes (p, u) to an oriented frame
-                u = _unit(u + minkowski_dot(p, u) * p)
-                for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                    np.multiply(p[a], u[b], out=turn[c])
-                    turn[c] -= p[b] * u[a]
-                turn[0] *= -1.0
-                u = _unit(turn)
-        closure = distance(walk[:, 7], walk[:, 0])
-        # walk[:, 1 + j] is the vertex that starts side k + 1 + j
-        order = 1 + (np.arange(6)[:, None] - k - 1) % 6
-        vertices = walk[:, order, np.arange(n)]
-        after, before = np.roll(vertices, -1, axis=1), np.roll(vertices, 1, axis=1)
+        # ring[:, 1 + j] starts side k + 1 + j; slots 0 and 7 hold the ends
+        ring = np.empty((3, 8, n))
+        ring[:, 0], u, w = np.repeat(np.eye(3)[:, :, None], n, axis=2)
+        for i in range(7):  # the last step ends mid-side; its turn is unused
+            p = ring[:, i]
+            ring[:, i + 1] = ch[i] * p + sh[i] * u
+            u, w = w, -(sh[i] * p + ch[i] * u)
+        # project the end onto the sheet: the chord form clamps drift to 0
+        closure = distance(normalize_point(ring[:, 7]), ring[:, 0])
+        ring[:, 0], ring[:, 7] = ring[:, 6], ring[:, 1]
+        vertices, after, before = ring[:, 1:7], ring[:, 2:], ring[:, :6]
         measured = distance(vertices, after)
         # unit tangents at each vertex toward its two neighbours
-        t_prev = _unit(before + minkowski_dot(vertices, before) * vertices)
-        t_next = _unit(after + minkowski_dot(vertices, after) * vertices)
+        dots = minkowski_dot(ring[:, 1:], ring[:, :-1])
+        t_prev = _unit(before + dots[:-1] * vertices)
+        t_next = _unit(after + dots[1:] * vertices)
         angle = np.max(np.abs(minkowski_dot(t_prev, t_next)), axis=0)
+        # walk order to x1-first order: side s is walk side (s - k - 1) % 6
+        order = (np.arange(6)[:, None] - k - 1) % 6
+        measured = np.take_along_axis(measured, order, axis=0)
+        vertices = np.take_along_axis(vertices, order[None], axis=1)
     return vertices.transpose(2, 1, 0), measured.T, angle, closure
 
 

@@ -311,6 +311,10 @@ def forward_map(cx: HexComplex, edge_lengths) -> tuple[np.ndarray, np.ndarray, n
         raise ValueError("edge lengths must be strictly positive and finite")
     # each arc's opposite y-side is the edge it faces
     x = hexgeom.cosine_law_x(lengths[cx.arc_edge].reshape(cx.n, 3)).ravel()
+    if not np.all(x > 0.0):  # x_i ~ 2 e^((y_i - y_j - y_k)/2): equal seams above ~1490 underflow
+        h = np.argmin(x > 0.0) // 3
+        y = lengths[cx.hex_edges[h]].tolist()
+        raise coords.CoordinateError(f"hexagon {h}: x-arcs underflow to 0 at edge lengths {y}")
     z = coords.e_invariant(cx, x)
     return z, coords.boundary_lengths(cx, x), x
 

@@ -260,6 +260,23 @@ def test_forward_with_long_seams_matches_mpmath(pants_file, tmp_path, capsys):
         assert v == pytest.approx(exact, rel=1e-12)
 
 
+def test_forward_with_underflowing_seams_names_the_hexagon(pants_file, tmp_path, capsys):
+    # seams of 2000 give x-arcs near e^-2000, below the least double
+    lengths = write_coords(tmp_path, "l.json", {"e0": 2000.0, "e1": 2000.0, "e2": 2000.0})
+    assert run(["forward", pants_file, "--lengths", lengths]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "hexagon 0: x-arcs underflow to 0 at edge lengths [2000.0, 2000.0, 2000.0]" in err
+
+
+def test_solve_pants_at_z7_passes_the_audit(pants_file, tmp_path, capsys):
+    # the walk reaches e^7 from its start; a renormalised walk's closure
+    # drifted to 2e-8 there and failed this correct metric
+    z = write_coords(tmp_path, "z.json", {"e0": 7.0, "e1": 7.0, "e2": 7.0})
+    assert run(["solve", pants_file, "--z", z]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verified"] and out["verification_failures"] == []
+
+
 def _with_first_gluing(**update):
     gluings = [dict(PANTS_DOC["gluings"][0], **update), *PANTS_DOC["gluings"][1:]]
     return {"gluings": gluings}

@@ -212,6 +212,28 @@ def test_margin_lp_matches_karp(n, seed, z_seed, near_ties):
     assert check_feasibility(cx, z).lp_min == pytest.approx(karp_min_mean(cx, z), abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["forward", "shifted", "random"])
+@pytest.mark.parametrize("seed", [3, 41])
+def test_margin_lp_matches_karp_at_n32(seed, kind):
+    # 96 arc-graph nodes, as in the benchmark's mid-size solves: there a
+    # few rounds of value iteration no longer solve the graph outright
+    cx = seeded_complex(32, 20250000 + seed)
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        z = rng.uniform(-1.0, 1.5, cx.num_edges)
+    else:
+        z, _, _ = solver.forward_map(cx, rng.uniform(0.3, 3.0, cx.num_edges))
+        if kind == "shifted":
+            z = z - 1.5 * check_feasibility(cx, z).lp_min
+    exact = karp_min_mean(cx, z)
+    assert check_feasibility(cx, z).lp_min == pytest.approx(exact, abs=1e-12)
+    # the max-margin witness attains the mean on its shortest x-arc
+    mu, t, _ = polytope._margin_lp(cx, z)
+    ts = t.reshape(cx.n, 3)
+    x = ts[:, [1, 2, 0]] + ts[:, [2, 0, 1]]
+    assert x.min() == pytest.approx(exact, abs=1e-12)
+
+
 def _assert_certificate_cycle(cx, z):
     rep = check_feasibility(cx, z)
     assert not rep.feasible
