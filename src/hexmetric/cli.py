@@ -69,10 +69,11 @@ def _load_edge_values(path: str, cx: surface.HexComplex) -> np.ndarray:
         if e in seen:
             raise InputError(f"duplicate edge key {key!r}")
         seen.add(e)
-        try:
-            values[e] = float(v)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"edge key {key!r}: {v!r} is not a number") from exc
+        # JSON booleans are ints to Python; strings are not numbers here,
+        # numeric or not
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise InputError(f"edge key {key!r}: {v!r} is not a number")
+        values[e] = v
     missing = [label for e, label in enumerate(cx.labels) if e not in seen]
     if missing:
         raise InputError(f"missing edge keys: {', '.join(missing)}")

@@ -77,17 +77,6 @@ def e_invariant(cx: HexComplex, x: np.ndarray) -> np.ndarray:
     return slice_coords(cx, t_of(cx, x))[0]
 
 
-def e_invariant_direct(cx: HexComplex, x: np.ndarray) -> np.ndarray:
-    """Same invariant via the adjacent-minus-facing form
-    z(e) = (sum of adjacent arcs - sum of facing arcs) / 2, where the arcs
-    adjacent to a seam are the other two of its hexagon; kept as an
-    independent code path for cross-checking."""
-    x = _as_arc_array(cx, x)
-    facing = x[cx.edge_arcs]
-    adjacent = x.reshape(cx.n, 3).sum(axis=1)[cx.edge_arcs // 3] - facing
-    return 0.5 * (adjacent.sum(axis=1) - facing.sum(axis=1))
-
-
 def cycle_sum(cx: HexComplex, x: np.ndarray, cyc: EdgeCycle) -> tuple[float, float]:
     """The two sides of the edge-cycle identity: (sum of z over the
     cycle's edges, sum of x over its corner arcs).  They agree for every

@@ -9,9 +9,11 @@ natural identification of two hexagons facing each other), with
 ``reversed=True`` start-to-end.
 
 A complex is compiled once into read-only incidence arrays (see
-HexComplex); boundary tracing and the normal-curve edge cycles used by
-the feasibility polytope are walks over partner arrays derived from
-them.
+HexComplex).  One tracer walks the crossing points of a normal
+multicurve over them.  It gives the normal-curve edge cycles used by the
+feasibility polytope, and the boundary circles: the components of the
+multicurve that crosses every seam twice, each running parallel to one
+boundary circle and cutting off its arcs.
 """
 
 from __future__ import annotations
@@ -103,6 +105,10 @@ class HexComplex:
     * ``arc_boundary_edge[w]``: the edge after arc w in the boundary
       edge cycle of that component.
 
+    The boundary components are the components of the multicurve of
+    weight 2, traced by ``_trace``, numbered in order of their lowest
+    arcs.
+
     ``hessian_pattern`` (a HessianPattern of read-only arrays) is built
     on first use, by the first Newton step, and kept.
     """
@@ -118,8 +124,9 @@ class HexComplex:
         if len(self.gluings) != m:
             raise InvalidComplexError(f"expected {m} gluing pairs, got {len(self.gluings)}")
         # slots[e, side] = (hexagon, position) of the glued y-slot; with
-        # 3n/2 pairs and no slot repeated, every y-slot is glued
-        slots = np.array([(a, b) for a, b, _ in self.gluings], dtype=np.intp).reshape(m, 2, 2)
+        # 3n/2 pairs and no slot repeated, every y-slot is glued.  Flat
+        # rows convert in a third of the time nested pairs take.
+        slots = np.array([(*a, *b) for a, b, _ in self.gluings], dtype=np.intp).reshape(m, 2, 2)
         hexagon, q = slots[..., 0], slots[..., 1]
         bad = (hexagon < 0) | (hexagon >= self.n) | (q < 0) | (q >= 6) | (q % 2 == 0)
         if bad.any():
@@ -157,32 +164,32 @@ class HexComplex:
         self._slot_mate[yslot] = yslot[:, ::-1]
         self._reversed = np.array([r for _, _, r in self.gluings], dtype=bool)
 
-        # Corners: vertex 6h + p starts side p of hexagon h, so seam q
-        # runs from vertex 6h + q to 6h + q + 1.  A gluing identifies the
-        # ends of its two seams, start-to-start unless reversed.
-        rev = self._reversed
-        first = 6 * hexagon + q
-        last = 6 * hexagon + (q + 1) % 6
-        partner = np.empty(6 * n, dtype=np.intp)
-        for mine, theirs in (
-            (first[:, 0], np.where(rev, last[:, 1], first[:, 1])),
-            (last[:, 0], np.where(rev, first[:, 1], last[:, 1])),
+        # The circles parallel to the boundary are the components of the
+        # multicurve of weight 2, which crosses every seam twice and cuts
+        # one arc off each corner.  Each circle is listed from its lowest
+        # arc, leaving that arc through its counterclockwise end: a trace
+        # whose cut there runs clockwise (back) went the other way round
+        # and is reversed.  The trace crosses edge crossed[j] just before
+        # cut j, so the edge after arc cuts[j] is crossed[j + 1] forwards
+        # and crossed[j] reversed.
+        self._boundary, arcs, edges = [], [], []
+        for crossed, cuts, back in sorted(
+            self._trace(np.full(3 * n, 2), np.ones(3 * n, dtype=np.intp)), key=lambda comp: min(comp[1])
         ):
-            partner[mine] = theirs
-            partner[theirs] = mine
-        # vertex 6h + p is an end of x-arc 3h + p // 2 and of the seam at
-        # position p if p is odd, (p - 1) mod 6 if even
-        seam_edge = self.hex_edges[:, [2, 0, 0, 1, 1, 2]].ravel()
-        walks = self._boundary_walks(partner)
-        self._boundary = [
-            BoundaryCycle(arcs=tuple((v // 2).tolist()), edges=tuple(seam_edge[v].tolist()))
-            for v in walks
-        ]
-        v = np.concatenate(walks)
+            i = cuts.index(min(cuts))
+            if back[i]:
+                cuts, crossed = cuts[i::-1] + cuts[:i:-1], crossed[i::-1] + crossed[:i:-1]
+            else:
+                cuts, crossed = cuts[i:] + cuts[:i], crossed[i + 1:] + crossed[:i + 1]
+            self._boundary.append(BoundaryCycle(arcs=tuple(cuts), edges=tuple(crossed)))
+            arcs += cuts
+            edges += crossed
+        arcs = np.array(arcs)
+        sizes = [len(bc.arcs) for bc in self._boundary]
         self.arc_boundary = np.empty(3 * n, dtype=np.intp)
-        self.arc_boundary[v // 2] = np.repeat(np.arange(len(walks)), [len(w) for w in walks])
+        self.arc_boundary[arcs] = np.repeat(np.arange(len(sizes)), sizes)
         self.arc_boundary_edge = np.empty(3 * n, dtype=np.intp)
-        self.arc_boundary_edge[v // 2] = seam_edge[v]
+        self.arc_boundary_edge[arcs] = edges
         for a in (self.hex_edges, self.edge_arcs, self.arc_edge, self.arc_sign,
                   self._slot_mate, self._reversed, self.arc_boundary, self.arc_boundary_edge):
             a.flags.writeable = False
@@ -208,29 +215,6 @@ class HexComplex:
         for a in pattern:
             a.flags.writeable = False
         return pattern
-
-    def _boundary_walks(self, partner: np.ndarray) -> list[np.ndarray]:
-        """Exit vertices of each boundary circle, in order of the
-        circle's lowest arc.
-
-        The walk leaves x-arc v // 2 through its end vertex v, crosses
-        to the partner corner, enters the next arc there and leaves it
-        through that arc's other end, partner[v] ^ 1.  It starts at the
-        counterclockwise end 2w + 1 of the lowest arc w.
-        """
-        leave = (partner ^ 1).tolist()
-        seen = bytearray(self.num_arcs)
-        walks = []
-        for start in range(self.num_arcs):
-            if seen[start]:
-                continue
-            walk = [2 * start + 1]
-            seen[start] = 1
-            while (v := leave[walk[-1]]) != walk[0]:
-                walk.append(v)
-                seen[v // 2] = 1
-            walks.append(np.array(walk))
-        return walks
 
     # -- basic counts ------------------------------------------------
 
@@ -303,27 +287,25 @@ class HexComplex:
         ok = np.all((twice >= 0) & (twice % 2 == 0), axis=(-2, -1))
         return cross, twice // 2, ok
 
-    def _resolve_weights(self, w) -> list[EdgeCycle] | None:
-        """Canonical embedded multicurve with edge crossing counts w.
-
-        Returns None when w is not realizable (a corner count would be
-        negative or fractional); otherwise the list of components as
-        edge cycles, each traced from its lowest crossing point.
+    def _trace(self, cross: np.ndarray, corner: np.ndarray) -> list[tuple[list[int], list[int], list[bool]]]:
+        """Components of the canonical embedded multicurve with crossing
+        and corner counts (cross, corner) per y-slot, as _corner_counts
+        gives them, each traced from its lowest crossing point: the edges
+        it crosses, the arc it cuts off after each, and whether that cut
+        runs clockwise (back).
 
         Crossing points are numbered slot by slot, y-slot 3h + k first,
         each slot's points by position j counted from the slot's
         counterclockwise start vertex.  Two partner arrays join them.
         Within hexagon h, the first corner(k-1, k) points of slot k bend
-        back to position cross(k-1) - 1 - j of slot k - 1, cutting off
-        x-arc 3h + k; the rest go on to position cross(k) - 1 - j of
-        slot k + 1, cutting off x-arc 3h + (k + 1) % 3.  Across the
-        edge, a point meets the same position of the glued slot, or its
-        mirror when the gluing is reversed.  A component is a cycle of
-        the two partner maps composed.
+        back, clockwise, to position cross(k-1) - 1 - j of slot k - 1,
+        cutting off x-arc 3h + k; the rest go on, counterclockwise, to
+        position cross(k) - 1 - j of slot k + 1, cutting off x-arc
+        3h + (k + 1) % 3.  Across the edge, a point meets the same
+        position of the glued slot, or its mirror when the gluing is
+        reversed.  A component is a cycle of the two partner maps
+        composed.
         """
-        cross, corner, ok = self._corner_counts(np.asarray(w, dtype=np.intp))
-        if not ok:
-            return None
         c = cross.ravel()
         start = np.cumsum(c) - c  # first point of each y-slot
         slot = np.repeat(np.arange(3 * self.n), c)
@@ -334,22 +316,21 @@ class HexComplex:
         inner = np.where(back, start[prev] + c[prev], start[succ] + c[slot]) - 1 - pos
         edge = self.hex_edges.ravel()[slot]
         outer = start[self._slot_mate[slot]] + np.where(self._reversed[edge], c[slot] - 1 - pos, pos)
-        cut = np.where(back, slot, succ)
-        inner, outer, edge, cut = (a.tolist() for a in (inner, outer, edge, cut))
+        step, inner = outer[inner].tolist(), inner.tolist()
         seen = bytearray(len(inner))
-        components = []
+        walk, ends = [], []
         for first in range(len(inner)):
             if seen[first]:
                 continue
-            edges, corner_arcs = [], []
             p = first
             while not seen[p]:
                 seen[p] = seen[inner[p]] = 1
-                edges.append(edge[p])
-                corner_arcs.append(cut[p])
-                p = outer[inner[p]]
-            components.append(EdgeCycle(edges=tuple(edges), corner_arcs=tuple(corner_arcs)))
-        return components
+                walk.append(p)
+                p = step[p]
+            ends.append(len(walk))
+        walk = np.array(walk, dtype=np.intp)
+        edge, cut, back = (a[walk].tolist() for a in (edge, np.where(back, slot, succ), back))
+        return [(edge[i:j], cut[i:j], back[i:j]) for i, j in zip([0] + ends[:-1], ends)]
 
     def enumerate_fundamental_cycles(self, limit: int = 200) -> CycleEnumeration:
         """All connected embedded normal curves crossing each edge at
@@ -364,16 +345,17 @@ class HexComplex:
         # every nonzero w in {0, 1, 2}^m, in lexicographic order; int8
         # keeps the corner counts of all 3^m at once small
         weights = np.indices((3,) * m, dtype=np.int8).reshape(m, -1).T[1:]
+        cross, corner, ok = self._corner_counts(weights)
         cycles: list[EdgeCycle] = []
         truncated = False
-        for w in weights[self._corner_counts(weights)[2]]:
-            comps = self._resolve_weights(w)
+        for comps in map(self._trace, cross[ok], corner[ok]):
             if len(comps) != 1:
                 continue
             if len(cycles) >= limit:
                 truncated = True
                 break
-            cycles.append(comps[0])
+            edges, cuts, _ = comps[0]
+            cycles.append(EdgeCycle(edges=tuple(edges), corner_arcs=tuple(cuts)))
         return CycleEnumeration(cycles=tuple(cycles), truncated=truncated)
 
 

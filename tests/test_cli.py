@@ -287,6 +287,8 @@ def _with_first_gluing(**update):
     [
         ({}, None, "'e1'"),
         ({}, {}, "'e1'"),
+        ({}, True, "'e1': True is not a number"),
+        ({}, "1.2", "'e1': '1.2' is not a number"),
         ({"gluings": 5}, 1.0, "'gluings'"),
         ({"labels": 5}, 1.0, "'labels'"),
         ({"labels": [1, 2, 3]}, 1.0, "'labels'"),
@@ -300,6 +302,8 @@ def _with_first_gluing(**update):
     ids=[
         "null-value",
         "object-value",
+        "bool-value",
+        "str-value",
         "gluings-not-list",
         "labels-not-list",
         "labels-not-str",

@@ -232,6 +232,25 @@ def test_bad_start_rejected(pants):
         maximize(pants, z, start_t=np.zeros(6) + 5.0)  # not on the slice
 
 
+def test_perturbed_start_rejects_a_t0_off_the_slice(pants):
+    # t0 is interior to the slice of (1, 1, 9), not to that of z
+    t0 = polytope.interior_point(pants, np.array([1.0, 1.0, 9.0]))
+    with pytest.raises(SolveError, match="slice equalities"):
+        perturbed_interior_start(pants, np.full(3, 0.01), RNG, t0=t0)
+
+
+def test_perturbed_start_rejects_a_t0_outside_the_domain(pants):
+    z = np.array([0.9, 1.2, 1.05])
+    t0 = coords.slice_point(pants, z, np.full(3, 5.0))  # on the slice, a pair sum below 0
+    assert solver.domain_margin(pants, t0) < 0.0
+    for call in (
+        lambda: maximize(pants, z, start_t=t0),
+        lambda: perturbed_interior_start(pants, z, RNG, t0=t0),
+    ):
+        with pytest.raises(SolveError, match="not interior"):
+            call()
+
+
 def test_forward_map_validation(pants):
     with pytest.raises(ValueError):
         forward_map(pants, np.array([1.0, -1.0, 1.0]))

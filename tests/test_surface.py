@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexmetric.surface import HexComplex, InvalidComplexError, build
+from hexmetric.surface import BoundaryCycle, HexComplex, InvalidComplexError, build
 
 from conftest import seeded_complex
 
@@ -107,6 +107,14 @@ def test_enumeration_pinned(name, all_fixtures):
     assert [[list(c.edges), list(c.corner_arcs)] for c in enum.cycles] == CYCLES_PIN[name]["cycles"]
     boundary = [[list(b.arcs), list(b.edges)] for b in cx.boundary_components()]
     assert boundary == CYCLES_PIN[name]["boundary"]
+
+
+def test_boundary_orientation_where_the_seams_do_not_fix_it():
+    # both seams at arc 0 are edge 2, so the circle crosses edge 2 first
+    # whichever way it leaves arc 0: only the direction of the traced
+    # curve tells the two ways round apart
+    cx = HexComplex(n=2, gluings=[((1, 1), (0, 3), False), ((1, 3), (1, 5), False), ((0, 5), (0, 1), False)])
+    assert cx.boundary_components() == [BoundaryCycle(arcs=(0, 2, 4, 5, 3, 1), edges=(2, 0, 1, 1, 0, 2))]
 
 
 def test_enumeration_truncation(four):
