@@ -126,7 +126,11 @@ def cmd_solve(args) -> int:
         _emit({"error": "infeasible", "report": exc.report.to_json_dict(cx)}, args.json_out)
         return EXIT_INFEASIBLE
     except solver.SolveError as exc:
-        _emit({"error": "no convergence", "detail": str(exc)}, args.json_out)
+        doc = {"error": "no convergence", "detail": str(exc)}
+        if exc.report is not None:
+            fields = ("iterations", "cg_iterations", "grad_norm", "consistency", "energy")
+            doc["report"] = {k: getattr(exc.report, k) for k in fields}
+        _emit(doc, args.json_out)
         return EXIT_NO_CONVERGENCE
     verification = realize.verify_metric(cx, metric, tol=max(args.tol, 1e-8))
     doc = {

@@ -22,6 +22,10 @@ of one-signed terms, which neither cancel nor overflow at any float t:
     c(u) = ln(1 + e^{-2|u|}),  d(x) = -ln(1 - e^{-2x}),
     p(u) = 1/(e^{2u} + 1),     q(x) = e^{-2x}/(1 - e^{-2x}).
 
+p is taken from E = e^{-2|u|}, the exponential that c(u) uses:
+p(u) = E/(1 + E) for u >= 0 and 1/(1 + E) for u < 0, positive up to
+2u = 745, where E underflows.
+
 The triple functions also take a stack of triples, shape (..., 3), and
 work along the last axis, so a whole complex is evaluated in one call.
 Inputs outside the domain (non-finite t included) raise DomainError, as
@@ -192,18 +196,20 @@ def theta(t):
 
 def _derivatives(t, gradient: bool = True, hessian: bool = True):
     """theta's gradient and Hessian at interior t, either one None when
-    not asked for.  Both are built from the same terms of T and of
-    a = 2x: e^{-a} and 1 - e^{-a} = -expm1(-a)."""
+    not asked for.  Both are built from the same terms: E = e^{-2|u|}
+    for u = t_i and u = T, and e^{-a} and 1 - e^{-a} = -expm1(-a) for
+    a = 2x."""
     t = np.asarray(t, dtype=float)
     g = h = None
     with _raising():
         a = 2.0 * _require_open_h3(t)  # entry i: 2(t_i + t_j)
         total = t.sum(axis=-1)[..., None]  # T > 0 in H3
+        e_t, e_total = np.exp(-2.0 * np.abs(t)), np.exp(-2.0 * total)
         e, one_minus_e = np.exp(-a), -np.expm1(-a)
         if gradient:
-            g = _gradient_terms(t, total, a, e, one_minus_e)
+            g = _gradient_terms(t, a, e_t, e_total, e, one_minus_e)
         if hessian:
-            h = _hessian_terms(t, total, e, one_minus_e)
+            h = _hessian_terms(t, e_t, e_total, e, one_minus_e)
     if gradient:
         _require(g > 0.0, t, "theta gradient underflows to 0")
     if hessian:
@@ -211,33 +217,25 @@ def _derivatives(t, gradient: bool = True, hessian: bool = True):
     return g, h
 
 
-def _gradient_terms(t, total, a, e, one_minus_e):
-    # d split at 2x = ln 2, as in Maechler's log1mexp, keeps every digit
-    d = -np.where(a <= _LN2, np.log(one_minus_e), np.log1p(-e))
-    c = np.log1p(np.exp(-2.0 * np.abs(t)))
-    c_total = np.log1p(np.exp(-2.0 * total))
-    return np.maximum(-t, 0.0) + 0.5 * (c_total + c + d + d[..., _K])
+def _gradient_terms(t, a, e_t, e_total, e, one_minus_e):
+    # d split at 2x = ln 2, as in Maechler's log1mexp, keeps every digit;
+    # each log is taken only on its side of the split
+    small = a <= _LN2
+    d = np.log(one_minus_e, out=np.empty_like(a), where=small)
+    d = -np.log1p(-e, out=d, where=~small)
+    return np.maximum(-t, 0.0) + 0.5 * (np.log1p(e_total) + np.log1p(e_t) + d + d[..., _K])
 
 
-def _hessian_terms(t, total, e, one_minus_e):
-    p_total = _p(total)
+def _hessian_terms(t, e_t, e_total, e, one_minus_e):
+    # p from E = e^{-2|u|} (module docstring) is positive while E is, so
+    # the Hessian's diagonal underflows no sooner than the gradient does
+    p_total = e_total / (1.0 + e_total)
+    p_t = np.where(t >= 0.0, e_t, 1.0) / (1.0 + e_t)
     q = e / one_minus_e
     h = np.empty(t.shape + (3,))
     h[..., _I, _J] = h[..., _J, _I] = -(p_total + q)
-    h[..., _I, _I] = -(p_total + _p(t) + q + q[..., _K])
+    h[..., _I, _I] = -(p_total + p_t + q + q[..., _K])
     return h
-
-
-def _p(u):
-    """p(u) = 1/(e^{2u} + 1) = expit(-2u).  expit flushes to 0 once 2u
-    passes 709.8; from 2u = 700 on p is taken as e^{-2u} (1 + e^{-2u}
-    rounds to 1), positive up to 2u = 745, so the Hessian's diagonal
-    underflows no sooner than the gradient does."""
-    from scipy.special import expit
-
-    x = -2.0 * u
-    p = expit(x)
-    return np.exp(x, out=p, where=x < -700.0)
 
 
 def theta_grad(t):

@@ -16,8 +16,11 @@ y = 2 ln(1 + u + sqrt(u (2 + u))) with u = e^g - 1, exact to the last
 digit or two.  Each point the solve visits inside the domain (the start
 and every trial point) costs one derivative call, which gives the
 gradient and the Hessian there from the terms they share; the accepted
-trial point's pair is the next step's gradient, seam lengths, length
-mismatch and Hessian.  The line search never evaluates the energy.  It
+trial point's pair is the next step's gradient and Hessian.  The stop
+test reads the seam lengths and their two-sided mismatch from the
+gradient only at a point whose reduced gradient already passes, and a
+failure report reads them at the point it reports.  The line search
+never evaluates the energy.  It
 accepts a step when the directional derivative there is at least
 -(1 - 2c) times the one at the start, with c = `_ARMIJO`: the trapezoid
 form of the sufficient-increase test (Hager and Zhang's approximate
@@ -28,12 +31,13 @@ Each Newton quantity is one hexgeom call on the (n, 3) array of all
 hexagons' t-triples, scattered to the edges through the complex's
 incidence arrays.  The reduced Hessian has 9 block entries per hexagon,
 scattered by one bincount through positions fixed once per complex
-(`HexComplex.hessian_pattern`).  One function, `_newton_step`, picks
-how each Newton step is solved, from the complex's edge count: on at
-most `_DIRECT_MAX_EDGES` edges the blocks land in a dense (m, m) array
-solved with LAPACK; above that size they land in a CSR matrix solved by
-a short diagonally preconditioned conjugate-gradient loop, stopped at
-the inexact-Newton forcing term.
+(`HexComplex.hessian_pattern`).  One function, `_newton_solver`, picks
+how the Newton steps of a solve are solved, from the complex's edge
+count: on at most `_DIRECT_MAX_EDGES` edges the blocks land in a dense
+(m, m) array solved with LAPACK; above that size they land in the data
+of a CSR matrix, built once per solve, solved by a short diagonally
+preconditioned conjugate-gradient loop, stopped at the inexact-Newton
+forcing term.
 """
 
 from __future__ import annotations
@@ -133,6 +137,13 @@ def _side_lengths(cx: HexComplex, grad: np.ndarray) -> np.ndarray:
     return hexgeom.y_of_grad(grad).ravel()[cx.edge_arcs]
 
 
+def _mismatch(cx: HexComplex, grad: np.ndarray) -> float:
+    """Largest disagreement over the edges between the two y-lengths of
+    an edge, from the hexagons' energy gradients."""
+    sides = _side_lengths(cx, grad)
+    return float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
+
+
 def _reduced_gradient(cx: HexComplex, grad: np.ndarray) -> np.ndarray:
     """Gradient g_s in the free coordinates s: each hexagon's gradient
     3-vector scattered through its arcs' edges and signs."""
@@ -150,17 +161,19 @@ def _neg_hessian_dense(cx: HexComplex, hess: np.ndarray) -> np.ndarray:
     return flat.reshape(m, m)
 
 
+def _neg_hessian_data(cx: HexComplex, hess: np.ndarray) -> np.ndarray:
+    """The data of -H on the complex's fixed CSR pattern: each hexagon's
+    3x3 block scattered by one bincount, duplicate slots summed."""
+    pattern = cx.hessian_pattern
+    return np.bincount(pattern.slot, weights=pattern.neg_sign * hess.ravel(), minlength=len(pattern.indices))
+
+
 def _neg_hessian_csr(cx: HexComplex, hess: np.ndarray):
-    """-H as a CSR matrix: each hexagon's 3x3 block scattered into the
-    data of the complex's fixed CSR pattern (duplicate slots summed by
-    the bincount)."""
+    """-H as a new CSR matrix on the complex's fixed pattern."""
     from scipy.sparse import csr_array
 
     pattern = cx.hessian_pattern
-    data = np.bincount(
-        pattern.slot, weights=pattern.neg_sign * hess.ravel(), minlength=len(pattern.indices)
-    )
-    return csr_array((data, pattern.indices, pattern.indptr), shape=(cx.num_edges,) * 2)
+    return csr_array((_neg_hessian_data(cx, hess), pattern.indices, pattern.indptr), shape=(cx.num_edges,) * 2)
 
 
 def _pcg(a, b: np.ndarray, inv_diag: np.ndarray, rtol: float = _CG_RTOL) -> tuple[np.ndarray, int]:
@@ -185,30 +198,45 @@ def _pcg(a, b: np.ndarray, inv_diag: np.ndarray, rtol: float = _CG_RTOL) -> tupl
     return x, 10 * len(b)
 
 
-def _newton_step(cx: HexComplex, hess: np.ndarray, g_s: np.ndarray, grad_norm: float) -> tuple[np.ndarray, int]:
-    """The Newton step: the solution of -H step = g_s, with -H from the
-    hexagons' Hessian blocks hess; and the CG iterations it took.
+def _newton_solver(cx: HexComplex):
+    """The Newton step of one solve on cx: a function of the hexagons'
+    Hessian blocks hess, the reduced gradient g_s and its max norm
+    grad_norm that returns the solution of -H step = g_s and the CG
+    iterations it took.
 
     -H is symmetric positive definite.  On at most _DIRECT_MAX_EDGES
     edges it is solved dense with LAPACK, cheaper there than the two
     dozen or so Python-level iterations an iterative solve takes.  Above
     that the dense solve's cubic cost overtakes; -H is diagonally
     dominant, so diagonally preconditioned CG converges fast where a
-    sparse LU would fill in.  CG stops at the relative residual
-    min(0.1, grad_norm), the inexact-Newton forcing term (Dembo,
-    Eisenstat and Steihaug 1982): loose far from the maximizer, tight
-    near it, so the local convergence stays superlinear; an inexact
-    step is still an ascent direction.
+    sparse LU would fill in.  The CG matrix is built once, on the
+    complex's fixed pattern, and each step overwrites its data.  CG
+    stops at the relative residual min(0.1, grad_norm), the
+    inexact-Newton forcing term (Dembo, Eisenstat and Steihaug 1982):
+    loose far from the maximizer, tight near it, so the local
+    convergence stays superlinear; an inexact step is still an ascent
+    direction.
     """
     if cx.num_edges <= _DIRECT_MAX_EDGES:
-        neg_h = _neg_hessian_dense(cx, hess)
-        try:
-            return np.linalg.solve(neg_h, g_s), 0
-        except np.linalg.LinAlgError as exc:
-            raise SolveError(f"Newton system is singular: {exc}") from exc
-    neg_h = _neg_hessian_csr(cx, hess)
-    rtol = max(_CG_RTOL, min(0.1, grad_norm))
-    return _pcg(neg_h, g_s, 1.0 / neg_h.data[cx.hessian_pattern.diagonal], rtol)
+
+        def dense_step(hess: np.ndarray, g_s: np.ndarray, grad_norm: float) -> tuple[np.ndarray, int]:
+            try:
+                return np.linalg.solve(_neg_hessian_dense(cx, hess), g_s), 0
+            except np.linalg.LinAlgError as exc:
+                raise SolveError(f"Newton system is singular: {exc}") from exc
+
+        return dense_step
+
+    # one matrix per solve, on the fixed pattern; each step overwrites its data
+    neg_h = _neg_hessian_csr(cx, np.zeros((cx.n, 3, 3)))
+    diagonal = cx.hessian_pattern.diagonal
+
+    def cg_step(hess: np.ndarray, g_s: np.ndarray, grad_norm: float) -> tuple[np.ndarray, int]:
+        neg_h.data[:] = _neg_hessian_data(cx, hess)
+        rtol = max(_CG_RTOL, min(0.1, grad_norm))
+        return _pcg(neg_h, g_s, 1.0 / neg_h.data[diagonal], rtol)
+
+    return cg_step
 
 
 def _slice_start(cx: HexComplex, z: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, float]:
@@ -240,24 +268,29 @@ def maximize(
     z = coords.edge_array(cx, z)
     t, s, _ = _slice_start(cx, z, polytope.interior_point(cx, z) if start_t is None else start_t)
 
-    def report(iterations: int, converged: bool) -> SolveReport:
+    def report(iterations: int, converged: bool, consistency: float) -> SolveReport:
         achieved_z, _ = coords.slice_coords(cx, t)
-        return SolveReport(iterations, grad_norm, mismatch, energy(cx, t), achieved_z, converged, cg_iterations)
+        return SolveReport(iterations, grad_norm, consistency, energy(cx, t), achieved_z, converged, cg_iterations)
 
     # the hexagons' energy gradients and Hessians at t and the reduced
     # gradient, from which the stopping rule and the next step are read
     grad, hess = hexgeom.theta_derivatives(t.reshape(cx.n, 3))
     g_s = _reduced_gradient(cx, grad)
+    newton_step = _newton_solver(cx)
     cg_iterations = 0
     for it in range(cfg.max_iter + 1):
-        sides = _side_lengths(cx, grad)
-        mismatch = float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
         grad_norm = float(np.max(np.abs(g_s)))
-        if grad_norm < cfg.tol and mismatch < cfg.tol:
-            return t, report(it, True)
+        # the seam lengths are read only once the gradient test passes
+        if grad_norm < cfg.tol:
+            mismatch = _mismatch(cx, grad)
+            if mismatch < cfg.tol:
+                return t, report(it, True, mismatch)
         if it == cfg.max_iter:
-            raise SolveError(f"no convergence within {cfg.max_iter} Newton iterations", report(it, False))
-        step, k = _newton_step(cx, hess, g_s, grad_norm)
+            raise SolveError(
+                f"no convergence within {cfg.max_iter} Newton iterations",
+                report(it, False, _mismatch(cx, grad)),
+            )
+        step, k = newton_step(hess, g_s, grad_norm)
         cg_iterations += k
         slope = float(g_s @ step)
         if slope < 0.0:
@@ -271,7 +304,7 @@ def maximize(
                 raise SolveError(
                     "line search stalled at the domain boundary; the "
                     "coordinate is infeasible or numerically near-boundary",
-                    report(it, False),
+                    report(it, False, _mismatch(cx, grad)),
                 )
             s_try = s + alpha * step
             t_try = coords.slice_point(cx, z, s_try)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexmetric import cli
+from hexmetric import cli, solver
 
 ACOSH2 = math.acosh(2.0)
 
@@ -107,6 +107,29 @@ def test_solve_non_convergence_exit(tmp_path):
         ["e0", "e1", "e2", "e3", "e4", "e5"], [0.3, 1.7, 0.9, 1.1, 0.6, 1.4])))
     args = ["solve", str(FOUR_FILE), "--z", z, "--max-iter", "1", "--tol", "1e-14"]
     assert run(args) == cli.EXIT_NO_CONVERGENCE
+
+
+def test_solve_non_convergence_emits_the_report(tmp_path, capsys):
+    # the error names the point the solve stopped at, as the library's
+    # SolveError report does
+    values = [0.3, 1.7, 0.9, 1.1, 0.6, 1.4]
+    z = write_coords(tmp_path, "z.json", dict(zip(["e0", "e1", "e2", "e3", "e4", "e5"], values)))
+    args = ["solve", str(FOUR_FILE), "--z", z, "--max-iter", "1", "--tol", "1e-14"]
+    assert run(args) == cli.EXIT_NO_CONVERGENCE
+    doc = json.loads(capsys.readouterr().out)
+    cx = cli._load_complex(str(FOUR_FILE))
+    with pytest.raises(solver.SolveError) as exc:
+        solver.maximize(cx, np.array(values), solver.SolveConfig(tol=1e-14, max_iter=1))
+    r = exc.value.report
+    assert doc["error"] == "no convergence" and doc["detail"] == str(exc.value)
+    assert doc["report"] == {
+        "iterations": r.iterations,
+        "cg_iterations": r.cg_iterations,
+        "grad_norm": r.grad_norm,
+        "consistency": r.consistency,
+        "energy": r.energy,
+    }
+    assert r.iterations == 1
 
 
 def test_solve_output_feeds_forward(pants_file, tmp_path, capsys):

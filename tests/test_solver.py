@@ -217,6 +217,30 @@ def test_non_convergence_reported(four, monkeypatch):
     assert report.consistency == np.max(np.abs(sides[:, 0] - sides[:, 1]))
 
 
+def test_line_search_stall_reported(four, monkeypatch):
+    # with a sufficient-increase constant of 1 the trapezoid test asks the
+    # slope at the trial point to be at least the slope at the start,
+    # which a strictly concave energy gives only where the two round
+    # equal: one tiny step is taken, then the line search stalls far from
+    # the maximizer.  The gradient test has not passed there, and the
+    # report must still give the length mismatch at its own point.
+    monkeypatch.setattr(solver, "_ARMIJO", 1.0)
+    reported = []
+    energy = solver.energy
+    monkeypatch.setattr(solver, "energy", lambda cx, t: reported.append(t.copy()) or energy(cx, t))
+    with pytest.raises(SolveError, match="line search stalled") as exc:
+        maximize(four, np.array([0.3, 1.7, 0.9, 1.1, 0.6, 1.4]))
+    report = exc.value.report
+    assert report is not None and not report.converged
+    (t,) = reported
+    grad = hexgeom.theta_grad(t.reshape(four.n, 3))
+    sides = solver._side_lengths(four, grad)
+    assert report.iterations == 1
+    assert report.grad_norm == np.max(np.abs(solver._reduced_gradient(four, grad)))
+    assert report.consistency == np.max(np.abs(sides[:, 0] - sides[:, 1]))
+    assert report.consistency == 0.5417334494576198
+
+
 def test_singular_newton_system_is_a_solve_error(four, monkeypatch):
     # np.linalg.solve's LinAlgError is a ValueError, which the CLI would
     # report as bad input; maximize reports it as a failed solve
@@ -510,6 +534,43 @@ def test_kernel_calls_per_solve(monkeypatch):
     assert calls["theta_grad"] == calls["theta_hessian"] == 0
     assert calls["theta_derivatives"] == calls["interior"] > rep.iterations + 1
     assert calls["slice_point"] > calls["interior"]
+
+
+@pytest.mark.parametrize("n", [32, 512])
+def test_seam_lengths_read_once_per_solve(n, monkeypatch):
+    # the stop test reads the seam lengths only where the gradient test
+    # passes, which on the pinned solves is the maximizer alone
+    calls = []
+    y_of_grad = hexgeom.y_of_grad
+    monkeypatch.setattr(hexgeom, "y_of_grad", lambda g: calls.append(1) or y_of_grad(g))
+    cx = seeded_complex(n, 20241003 + n)
+    lengths = np.random.default_rng([n, 11]).uniform(0.3, 3.0, cx.num_edges)
+    z, _, _ = forward_map(cx, lengths)
+    _, rep = maximize(cx, z)
+    assert rep.converged and rep.iterations == NEWTON_PIN[str(n)]["iterations"]
+    assert len(calls) == 1
+
+
+def test_cg_matrix_reused_across_steps():
+    # one CG matrix serves a whole solve: two steps with different
+    # Hessians through it equal, to the bit, CG on a new matrix for each.
+    # The complex has a self-glued hexagon, whose duplicate slots the
+    # bincount sums, so a stale entry would show.
+    cx = seeded_complex(N_ABOVE_CUTOFF, 20261022)
+    assert cx.num_edges > solver._DIRECT_MAX_EDGES
+    assert any(a[0] == b[0] for a, b, _ in cx.gluings)
+    newton_step = solver._newton_solver(cx)
+    for seed in (600, 601):
+        _, t = _interior_t(cx, seed)
+        grad, hess = hexgeom.theta_derivatives(t.reshape(cx.n, 3))
+        g_s = solver._reduced_gradient(cx, grad)
+        grad_norm = float(np.max(np.abs(g_s)))
+        step, k = newton_step(hess, g_s, grad_norm)
+        neg_h = solver._neg_hessian_csr(cx, hess)
+        rtol = max(solver._CG_RTOL, min(0.1, grad_norm))
+        fresh, fresh_k = solver._pcg(neg_h, g_s, 1.0 / neg_h.diagonal(), rtol)
+        assert k == fresh_k > 0
+        np.testing.assert_array_equal(step, fresh)
 
 
 def test_inexact_cg_steps():
