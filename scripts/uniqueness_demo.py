@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from hexmetric import coords, solver, surface
+from hexmetric import coords, polytope, solver, surface
 
 HERE = pathlib.Path(__file__).parent
 
@@ -26,10 +26,12 @@ def main() -> int:
     worst_spread = 0.0
     for k in range(trials):
         z = rng.uniform(0.3, 1.8, cx.num_edges)
+        # one margin LP per z: every start perturbs the same interior point
+        t0 = polytope.interior_point(cx, z)
         solutions = []
         for _ in range(4):
-            t0 = solver.perturbed_interior_start(cx, z, rng)
-            t, _ = solver.maximize(cx, z, start_t=t0)
+            start = solver.perturbed_interior_start(cx, z, rng, t0=t0)
+            t, _ = solver.maximize(cx, z, start_t=start)
             solutions.append(coords.x_of(cx, t))
         spread = float(
             max(np.max(np.abs(a - b)) for a in solutions for b in solutions)

@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute the metric with a given coordinate")
     p.add_argument("file")
     p.add_argument("--z", required=True, help="coordinate file")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--tol", type=float, default=solver.SolveConfig.tol)
+    p.add_argument("--max-iter", type=int, default=solver.SolveConfig.max_iter)
     p.add_argument("--json-out")
     p.set_defaults(func=cmd_solve)
 

@@ -29,11 +29,13 @@ def _as_arc_array(cx: HexComplex, values: np.ndarray | list[float]) -> np.ndarra
 
 
 def edge_array(cx: HexComplex, values) -> np.ndarray:
-    """`values` as a float array of one entry per edge of cx; any other
-    length raises CoordinateError."""
+    """`values` as a float array of one finite entry per edge of cx; any
+    other length, or a NaN or infinite entry, raises CoordinateError."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != (cx.num_edges,):
         raise CoordinateError(f"expected {cx.num_edges} edge values, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise CoordinateError("edge values must be finite")
     return arr
 
 

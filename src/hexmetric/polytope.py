@@ -214,8 +214,6 @@ def _margin_lp(cx: HexComplex, z: np.ndarray):
     d(a')) / 2, from the graph's potentials d at e's facing arcs a, a'
     (sides 0 and 1), has margin mu.
     """
-    if not np.all(np.isfinite(z)):
-        raise ValueError("coordinate values must be finite")
     mu, d, cycle = _min_mean_cycle(*_arc_graph(cx, z))
     _, s = coords.slice_coords(cx, d)
     return mu, coords.slice_point(cx, z, s), cx.arc_edge[cycle]

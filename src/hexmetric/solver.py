@@ -70,11 +70,10 @@ class SolveConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
-# line search: step shrink factor, sufficient-increase constant of the
-# trapezoid test, and the smallest domain margin a trial point may have
+# line search: step shrink factor and sufficient-increase constant of
+# the trapezoid test
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
-_MARGIN_FLOOR = 1e-12
 
 
 @dataclass
@@ -137,10 +136,9 @@ def _side_lengths(cx: HexComplex, grad: np.ndarray) -> np.ndarray:
     return hexgeom.y_of_grad(grad).ravel()[cx.edge_arcs]
 
 
-def _mismatch(cx: HexComplex, grad: np.ndarray) -> float:
+def _mismatch(sides: np.ndarray) -> float:
     """Largest disagreement over the edges between the two y-lengths of
-    an edge, from the hexagons' energy gradients."""
-    sides = _side_lengths(cx, grad)
+    an edge, from their (m, 2) array (see _side_lengths)."""
     return float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
 
 
@@ -239,10 +237,14 @@ def _newton_solver(cx: HexComplex):
     return cg_step
 
 
-def _slice_start(cx: HexComplex, z: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, float]:
-    """A start t put exactly onto the slice with invariant z: the point,
-    its free coordinates s and its domain margin.  Raises SolveError
-    when t is off the slice or not interior."""
+def _slice_start(cx: HexComplex, z, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """z as a finite per-edge array, and the start t (by default the
+    max-margin interior point) put exactly onto its slice: z, the point,
+    its free coordinates s and its domain margin.  Raises SolveError when
+    t is off the slice or its margin is not above hexgeom.H3_MARGIN."""
+    z = coords.edge_array(cx, z)
+    if t is None:
+        t = polytope.interior_point(cx, z)
     start_z, s = coords.slice_coords(cx, t)
     # the test of np.allclose(start_z, z, atol=1e-9), which a NaN fails,
     # without its ~25 us of overhead (4% of maximize at n = 32, 2-vCPU Xeon)
@@ -250,9 +252,9 @@ def _slice_start(cx: HexComplex, z: np.ndarray, t) -> tuple[np.ndarray, np.ndarr
         raise SolveError("start point does not satisfy the slice equalities")
     t = coords.slice_point(cx, z, s)
     margin = domain_margin(cx, t)
-    if margin <= _MARGIN_FLOOR:
+    if margin <= hexgeom.H3_MARGIN:
         raise SolveError("starting point is not interior")
-    return t, s, margin
+    return z, t, s, margin
 
 
 def maximize(
@@ -265,8 +267,7 @@ def maximize(
     invariant z.  `start_t` must already lie on the slice; by default
     the max-margin interior point is used."""
     cfg = cfg or SolveConfig()
-    z = coords.edge_array(cx, z)
-    t, s, _ = _slice_start(cx, z, polytope.interior_point(cx, z) if start_t is None else start_t)
+    z, t, s, _ = _slice_start(cx, z, start_t)
 
     def report(iterations: int, converged: bool, consistency: float) -> SolveReport:
         achieved_z, _ = coords.slice_coords(cx, t)
@@ -282,33 +283,33 @@ def maximize(
         grad_norm = float(np.max(np.abs(g_s)))
         # the seam lengths are read only once the gradient test passes
         if grad_norm < cfg.tol:
-            mismatch = _mismatch(cx, grad)
+            mismatch = _mismatch(_side_lengths(cx, grad))
             if mismatch < cfg.tol:
                 return t, report(it, True, mismatch)
         if it == cfg.max_iter:
             raise SolveError(
                 f"no convergence within {cfg.max_iter} Newton iterations",
-                report(it, False, _mismatch(cx, grad)),
+                report(it, False, _mismatch(_side_lengths(cx, grad))),
             )
         step, k = newton_step(hess, g_s, grad_norm)
         cg_iterations += k
         slope = float(g_s @ step)
         if slope < 0.0:
             raise SolveError("Newton direction is not an ascent direction")
-        # backtrack until the trial point is interior and its trapezoid
+        # backtrack until the trial point's domain margin is above
+        # hexgeom.H3_MARGIN, so the kernel accepts it, and its trapezoid
         # estimate of the gain, alpha (phi'(0) + phi'(alpha)) / 2, is at
         # least _ARMIJO alpha phi'(0), with phi' the slope along the step
         alpha = 1.0
         while True:
             if alpha < 1e-16:
                 raise SolveError(
-                    "line search stalled at the domain boundary; the "
-                    "coordinate is infeasible or numerically near-boundary",
-                    report(it, False, _mismatch(cx, grad)),
+                    f"line search stalled at a point of domain margin {domain_margin(cx, t):.3e}",
+                    report(it, False, _mismatch(_side_lengths(cx, grad))),
                 )
             s_try = s + alpha * step
             t_try = coords.slice_point(cx, z, s_try)
-            if domain_margin(cx, t_try) > _MARGIN_FLOOR:
+            if domain_margin(cx, t_try) > hexgeom.H3_MARGIN:
                 grad_try, hess_try = hexgeom.theta_derivatives(t_try.reshape(cx.n, 3))
                 g_try = _reduced_gradient(cx, grad_try)
                 if g_try @ step >= -(1.0 - 2.0 * _ARMIJO) * slope:
@@ -325,7 +326,7 @@ def extract_metric(cx: HexComplex, t: np.ndarray, cfg: SolveConfig | None = None
     t = np.asarray(t, dtype=float)
     x = coords.x_of(cx, t)
     sides = _side_lengths(cx, hexgeom.theta_grad(t.reshape(cx.n, 3)))
-    mismatch = float(np.max(np.abs(sides[:, 0] - sides[:, 1])))
+    mismatch = _mismatch(sides)
     if mismatch > cfg.tol:
         raise SolveError(
             f"per-edge length mismatch {mismatch:.3e} exceeds tolerance "
@@ -347,11 +348,9 @@ def forward_map(cx: HexComplex, edge_lengths) -> tuple[np.ndarray, np.ndarray, n
     inverse cosine law; returns (z, boundary lengths, x-arc lengths).
     The returned z always satisfies the polytope conditions.
     """
-    lengths = np.asarray(edge_lengths, dtype=float)
-    if lengths.shape != (cx.num_edges,):
-        raise ValueError(f"expected {cx.num_edges} edge lengths")
-    if np.any(lengths <= 0.0) or not np.all(np.isfinite(lengths)):
-        raise ValueError("edge lengths must be strictly positive and finite")
+    lengths = coords.edge_array(cx, edge_lengths)
+    if np.any(lengths <= 0.0):
+        raise ValueError("edge lengths must be strictly positive")
     # each arc's opposite y-side is the edge it faces
     x = hexgeom.cosine_law_x(lengths[cx.arc_edge].reshape(cx.n, 3)).ravel()
     if not np.all(x > 0.0):  # x_i ~ 2 e^((y_i - y_j - y_k)/2): equal seams above ~1490 underflow
@@ -369,16 +368,15 @@ def perturbed_interior_start(
     spread: float = 0.5,
     t0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """A random interior point of the slice, for multi-start tests: a
-    perturbation of the interior point t0 of the slice, by default the
-    max-margin one.  A t0 off the slice or not interior raises
-    SolveError, as a start of `maximize` does."""
-    z = coords.edge_array(cx, z)
-    _, s0, mu = _slice_start(cx, z, polytope.interior_point(cx, z) if t0 is None else t0)
+    """A random start on the slice that `maximize` accepts, for
+    multi-start tests: a perturbation of the interior point t0 of the
+    slice, by default the max-margin one.  A t0 off the slice or not
+    interior raises SolveError, as a start of `maximize` does."""
+    z, _, s0, mu = _slice_start(cx, z, t0)
     scale = spread * mu
     while True:
         s = s0 + rng.uniform(-scale, scale, cx.num_edges)
         t = coords.slice_point(cx, z, s)
-        if domain_margin(cx, t) > 0.05 * mu:
+        if domain_margin(cx, t) > max(0.05 * mu, hexgeom.H3_MARGIN):
             return t
         scale *= 0.5

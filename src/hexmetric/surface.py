@@ -105,9 +105,10 @@ class HexComplex:
     * ``arc_boundary_edge[w]``: the edge after arc w in the boundary
       edge cycle of that component.
 
-    The boundary components are the components of the multicurve of
-    weight 2, traced by ``_trace``, numbered in order of their lowest
-    arcs.
+    Connectivity is checked on the hexagon adjacency ``_slot_mate // 3``
+    before any tracing.  The boundary components are the components of
+    the multicurve of weight 2, traced by ``_trace``, numbered in order
+    of their lowest arcs.
 
     ``hessian_pattern`` (a HessianPattern of read-only arrays) is built
     on first use, by the first Newton step, and kept.
@@ -123,11 +124,12 @@ class HexComplex:
         m = 3 * self.n // 2
         if len(self.gluings) != m:
             raise InvalidComplexError(f"expected {m} gluing pairs, got {len(self.gluings)}")
-        # slots[e, side] = (hexagon, position) of the glued y-slot; with
-        # 3n/2 pairs and no slot repeated, every y-slot is glued.  Flat
-        # rows convert in a third of the time nested pairs take.
-        slots = np.array([(*a, *b) for a, b, _ in self.gluings], dtype=np.intp).reshape(m, 2, 2)
-        hexagon, q = slots[..., 0], slots[..., 1]
+        # (hexagon, q)[e, side] is the y-slot glued at side `side` of edge
+        # e; with 3n/2 pairs and no slot repeated, every y-slot is glued.
+        # Flat rows, the reversed flag last, convert in a third of the
+        # time nested pairs take.
+        rows = np.array([(*a, *b, r) for a, b, r in self.gluings], dtype=np.intp).reshape(m, 5)
+        hexagon, q = rows[:, 0:4:2], rows[:, 1:4:2]
         bad = (hexagon < 0) | (hexagon >= self.n) | (q < 0) | (q >= 6) | (q % 2 == 0)
         if bad.any():
             e, side = np.argwhere(bad)[0]
@@ -145,10 +147,9 @@ class HexComplex:
             raise InvalidComplexError("label list length differs from edge count")
         elif len(set(self.labels)) != self.num_edges:
             raise InvalidComplexError("duplicate edge labels")
-        self._check_connected()
-        self._build_incidence(hexagon, q)
+        self._build_incidence(hexagon, q, rows[:, 4].astype(bool))
 
-    def _build_incidence(self, hexagon: np.ndarray, q: np.ndarray) -> None:
+    def _build_incidence(self, hexagon: np.ndarray, q: np.ndarray, rev: np.ndarray) -> None:
         n, m = self.n, self.num_edges
         edge = np.arange(m)[:, None]
         self.hex_edges = np.empty((n, 3), dtype=np.intp)
@@ -162,7 +163,8 @@ class HexComplex:
         yslot = 3 * hexagon + q // 2
         self._slot_mate = np.empty(3 * n, dtype=np.intp)
         self._slot_mate[yslot] = yslot[:, ::-1]
-        self._reversed = np.array([r for _, _, r in self.gluings], dtype=bool)
+        self._reversed = rev
+        self._check_connected()
 
         # The circles parallel to the boundary are the components of the
         # multicurve of weight 2, which crosses every seam twice and cuts
@@ -256,19 +258,18 @@ class HexComplex:
                 for bc in self._boundary]
 
     def _check_connected(self) -> None:
-        adj: dict[int, set[int]] = {h: set() for h in range(self.n)}
-        for (h1, _), (h2, _), _ in self.gluings:
-            adj[h1].add(h2)
-            adj[h2].add(h1)
-        seen = {0}
+        """Depth-first walk over the hexagon adjacency _slot_mate // 3."""
+        mates = (self._slot_mate // 3).tolist()
+        seen = bytearray(self.n)
+        seen[0] = 1
         stack = [0]
         while stack:
-            h = stack.pop()
-            for g in adj[h]:
-                if g not in seen:
-                    seen.add(g)
+            h = 3 * stack.pop()
+            for g in mates[h], mates[h + 1], mates[h + 2]:
+                if not seen[g]:
+                    seen[g] = 1
                     stack.append(g)
-        if len(seen) != self.n:
+        if 0 in seen:
             raise InvalidComplexError("complex is disconnected")
 
     # -- normal-curve edge cycles ---------------------------------------

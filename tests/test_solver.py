@@ -57,6 +57,22 @@ def test_z_of_the_wrong_length_is_a_coordinate_error(four, extra):
             call()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_z_is_a_coordinate_error(pants, bad):
+    # a z of (1, inf, 1) once passed the slice test of an on-slice start
+    # (|1 - inf| <= 1e-5 inf) and gave a start with infinite entries
+    t0 = polytope.interior_point(pants, np.ones(3))
+    z = np.array([1.0, bad, 1.0])
+    for call in (
+        lambda: maximize(pants, z),
+        lambda: maximize(pants, z, start_t=t0),
+        lambda: perturbed_interior_start(pants, z, RNG),
+        lambda: perturbed_interior_start(pants, z, RNG, t0=t0),
+    ):
+        with pytest.raises(coords.CoordinateError, match="edge values must be finite"):
+            call()
+
+
 @pytest.mark.parametrize("shape", [7, 5, (2, 3)])
 def test_start_of_the_wrong_length_is_a_coordinate_error(pants, shape):
     # a 7-entry start holds the 6 entries of an on-slice start first
@@ -239,6 +255,9 @@ def test_line_search_stall_reported(four, monkeypatch):
     assert report.grad_norm == np.max(np.abs(solver._reduced_gradient(four, grad)))
     assert report.consistency == np.max(np.abs(sides[:, 0] - sides[:, 1]))
     assert report.consistency == 0.5417334494576198
+    # the message gives the reported point's domain margin
+    assert f"domain margin {solver.domain_margin(four, t):.3e}" in str(exc.value)
+    assert "domain margin 8.0" in str(exc.value)
 
 
 def test_singular_newton_system_is_a_solve_error(four, monkeypatch):
@@ -275,11 +294,38 @@ def test_perturbed_start_rejects_a_t0_outside_the_domain(pants):
             call()
 
 
+def test_start_margin_floor_is_the_kernels(pants):
+    # a start is interior when its domain margin is above H3_MARGIN, the
+    # bound theta_derivatives enforces; on pants with z = 1, s = (l, l, 0)
+    # puts two pair sums at 1 - 2 l
+    z = np.ones(3)
+    rng = np.random.default_rng(5)
+    for margin in (1e-12, 1e-13, 2e-14):
+        lam = 0.5 - margin / 2
+        t0 = coords.slice_point(pants, z, np.array([lam, lam, 0.0]))
+        assert hexgeom.H3_MARGIN < solver.domain_margin(pants, t0) < 1.01 * margin
+        assert maximize(pants, z, start_t=t0)[1].converged
+        for _ in range(20):
+            t = perturbed_interior_start(pants, z, rng, t0=t0)
+            assert solver.domain_margin(pants, t) > hexgeom.H3_MARGIN
+            hexgeom.theta_derivatives(t.reshape(pants.n, 3))
+    lam = 0.5 - 5e-15 / 2
+    t0 = coords.slice_point(pants, z, np.array([lam, lam, 0.0]))
+    with pytest.raises(SolveError, match="not interior"):
+        maximize(pants, z, start_t=t0)
+
+
 def test_forward_map_validation(pants):
     with pytest.raises(ValueError):
         forward_map(pants, np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         forward_map(pants, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forward_map_rejects_non_finite_lengths(pants, bad):
+    with pytest.raises(ValueError, match="finite"):
+        forward_map(pants, np.array([1.0, bad, 1.0]))
 
 
 # Reference iteration counts on these inputs, from the minimum-mean-cycle
@@ -516,7 +562,7 @@ def test_kernel_calls_per_solve(monkeypatch):
             out = f(*args)
             calls[name] += 1
             if name == "slice_point":
-                calls["interior"] += solver.domain_margin(args[0], out) > solver._MARGIN_FLOOR
+                calls["interior"] += solver.domain_margin(args[0], out) > hexgeom.H3_MARGIN
             return out
 
         monkeypatch.setattr(module, name, wrapper)

@@ -168,6 +168,85 @@ def test_validation_errors():
         )
 
 
+def _necklace(n: int, rng: np.random.Generator, offset: int = 0) -> list:
+    """Gluings of a ring of n/2 two-hexagon beads, glued on slots 1 and
+    3, each bead's slot 5 glued to the next bead's, with the hexagon
+    indices shuffled and shifted by `offset`: a connected complex of
+    diameter about n/4."""
+    label = (offset + rng.permutation(n)).tolist()
+    gluings = []
+    for h in range(0, n, 2):
+        gluings += [((h, 1), (h + 1, 1)), ((h, 3), (h + 1, 3)), ((h + 1, 5), ((h + 2) % n, 5))]
+    return [((label[a], p), (label[b], q), False) for (a, p), (b, q) in gluings]
+
+
+def _pants(h: int, k: int) -> list:
+    return [((h, q), (k, q), False) for q in (1, 3, 5)]
+
+
+def test_disconnected_with_interleaved_hexagons():
+    # hexagons 0 and 2 against 1 and 3
+    with pytest.raises(InvalidComplexError, match="disconnected"):
+        HexComplex(n=4, gluings=_pants(0, 2) + _pants(1, 3))
+
+
+def test_disconnected_with_hexagon_0_in_the_larger_piece():
+    # a four-hexagon necklace on 0..3 and a pants on 4 and 5
+    gluings = _necklace(4, np.random.default_rng(0)) + _pants(4, 5)
+    assert HexComplex(n=4, gluings=gluings[:6]).n == 4
+    with pytest.raises(InvalidComplexError, match="disconnected"):
+        HexComplex(n=6, gluings=gluings)
+
+
+def test_shuffled_necklace():
+    # a long thin complex: a walk from one hexagon reaches the far side
+    # of the ring only after n/4 steps
+    n = 4096
+    rng = np.random.default_rng(20)
+    assert HexComplex(n=n, gluings=_necklace(n, rng)).n == n
+    with pytest.raises(InvalidComplexError, match="disconnected"):
+        HexComplex(n=2 * n, gluings=_necklace(n, rng) + _necklace(n, rng, offset=n))
+
+
+def _union_find_connected(n: int, gluings: list) -> bool:
+    parent = list(range(n))
+
+    def root(h: int) -> int:
+        while parent[h] != h:
+            parent[h] = parent[parent[h]]
+            h = parent[h]
+        return h
+
+    for (a, _), (b, _), _ in gluings:
+        parent[root(a)] = root(b)
+    return len({root(h) for h in range(n)}) == 1
+
+
+def test_connectivity_matches_union_find():
+    # seams paired at random, half the draws within two even-sized
+    # groups of randomly chosen hexagons (disconnected unless a group
+    # is empty)
+    rng = np.random.default_rng(2026)
+    outcomes = set()
+    for _ in range(200):
+        n = 2 * int(rng.integers(1, 33))
+        hexagons = rng.permutation(n)
+        k = 2 * int(rng.integers(0, n // 2 + 1)) if rng.random() < 0.5 else 0
+        gluings = []
+        for group in (hexagons[:k], hexagons[k:]):
+            slots = [(int(h), q) for h in group for q in (1, 3, 5)]
+            pairs = rng.permutation(len(slots)).reshape(-1, 2)
+            gluings += [(slots[a], slots[b], bool(rng.integers(2))) for a, b in pairs]
+        connected = _union_find_connected(n, gluings)
+        outcomes.add(connected)
+        if connected:
+            assert HexComplex(n=n, gluings=gluings).n == n
+        else:
+            with pytest.raises(InvalidComplexError, match="disconnected"):
+                HexComplex(n=n, gluings=gluings)
+    assert outcomes == {True, False}
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(InvalidComplexError):
         HexComplex(
