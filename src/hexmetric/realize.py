@@ -1,15 +1,15 @@
-"""Explicit hexagon construction in the hyperboloid model.
+"""Explicit hexagon closure in the hyperboloid's spin group, SL(2,R).
 
-Independent geometric oracle: `realize_hexagons` builds a stack of
-right-angled hexagons, given as (n, 3) x-side triples, vertex-by-vertex
-on the sheet x0 > 0 of <p,p> = -1 in Minkowski 3-space, by walking
-their boundaries with a carried Lorentz frame (translate along a side,
-turn a right angle) into a ring of vertices whose end slots repeat the
-wrap-around vertices, and measuring everything back, the closure from
-the walk's end projected onto the sheet.  A stack of points has shape
-(3, ...), so each coordinate is one contiguous row.  It shares no code
-with the energy: of `hexgeom` only the cosine law is used, to get the
-y-sides to walk.  `verify_metric` audits a solved metric with it.
+Independent geometric oracle: `closure_residuals` walks a stack of
+right-angled hexagons, given as (n, 3) x-side and y-side triples, in
+SL(2,R), the double cover of the hyperboloid's isometry group SO+(2,1).
+A side of length l is diag(e^{l/2}, e^{-l/2}), a right-angle turn is
+the rotation by pi/4, and a hexagon's six sides and six turns multiply
+to -I exactly when it closes, which tests position, direction and right
+angles at once.  Entries grow like e^{d/2} with the distance d from the
+walk's start, so rounding grows like e^d.  It shares no code with the
+energy: of `hexgeom` only the cosine law is used, to get the y-sides to
+walk.  `verify_metric` audits a solved metric with it.
 """
 
 from __future__ import annotations
@@ -22,89 +22,45 @@ from . import hexgeom
 from .solver import HyperbolicMetric
 from .surface import HexComplex
 
-# The point functions act on the first axis: one point has shape (3,),
-# a stack of them (3, ...), so each coordinate is one contiguous row.
 
-
-def minkowski_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return -p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
-
-
-def normalize_point(p: np.ndarray) -> np.ndarray:
-    return p / np.sqrt(-minkowski_dot(p, p))
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    """A spacelike vector scaled to Minkowski norm 1."""
-    return v / np.sqrt(minkowski_dot(v, v))
-
-
-def distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Chord form 2 asinh(|p - q| / 2): unlike arccosh(-<p,q>), it does
-    not round distances below ~1e-8 to zero."""
-    d = p - q
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(minkowski_dot(d, d), 0.0)))
-
-
-def realize_hexagons(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Construct the right-angled hexagons with x-side triples x, (n, 3).
+def closure_residuals(x, y) -> np.ndarray:
+    """max|M + I| of each hexagon's walk M, for (n, 3) x and y triples.
 
     Each hexagon's sides run in the cyclic order x1, y3, x2, y1, x3, y2
     (so that y_i is opposite x_i), turning a quarter turn at every
-    corner.  Each walk starts at (1,0,0) half-way along its hexagon's
-    longest side and ends back there: coordinates grow like e^distance
-    from the start, and so does their rounding error.  The walk carries
-    a frame (p, u, w), point, tangent and left normal: a side of length
-    l and a left quarter turn map it to (ch l p + sh l u, w, -(sh l p +
-    ch l u)), a Lorentz map, so nothing is renormalised.  Sides and
-    corners are measured back from the vertices alone; the closure
-    residual is the walk end's distance, on the sheet, from its start.
-
-    Returns the vertices (n, 6, 3), reported from the start of side x1,
-    the measured side lengths (n, 6), and the angle and closure
-    residuals (n,).  A walk that rounding pushes off the hyperboloid
-    gives NaN, not a warning or an exception; x must be positive.
+    corner.  Each walk starts half-way along its hexagon's longest side
+    and ends back there.  The product is carried as its two columns,
+    (2, n) each, and the turns as sqrt(2) times the rotation, which
+    leaves -8I at the end of a closed walk: a side of length l and a
+    turn map the columns (a, b) to (e^{l/2} a + e^{-l/2} b,
+    e^{-l/2} b - e^{l/2} a), four array operations per step.  A walk
+    that overflows gives NaN or inf, not a warning or an exception.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    y = hexgeom.cosine_law_y(x)
+    y = np.asarray(y, dtype=float)
     sides = np.stack([x[:, 0], y[:, 2], x[:, 1], y[:, 0], x[:, 2], y[:, 1]])
     k = np.argmax(sides, axis=0)
     # side k + j for j = 0..6; the walk covers side k in two halves
     steps = np.take_along_axis(sides, (k + np.arange(7)[:, None]) % 6, axis=0)
     steps[[0, 6]] *= 0.5
     with np.errstate(all="ignore"):
-        ch, sh = np.cosh(steps), np.sinh(steps)
-        # ring[:, 1 + j] starts side k + 1 + j; slots 0 and 7 hold the ends
-        ring = np.empty((3, 8, n))
-        ring[:, 0], u, w = np.repeat(np.eye(3)[:, :, None], n, axis=2)
-        for i in range(7):  # the last step ends mid-side; its turn is unused
-            p = ring[:, i]
-            ring[:, i + 1] = ch[i] * p + sh[i] * u
-            u, w = w, -(sh[i] * p + ch[i] * u)
-        # project the end onto the sheet: the chord form clamps drift to 0
-        closure = distance(normalize_point(ring[:, 7]), ring[:, 0])
-        ring[:, 0], ring[:, 7] = ring[:, 6], ring[:, 1]
-        vertices, after, before = ring[:, 1:7], ring[:, 2:], ring[:, :6]
-        measured = distance(vertices, after)
-        # unit tangents at each vertex toward its two neighbours
-        dots = minkowski_dot(ring[:, 1:], ring[:, :-1])
-        t_prev = _unit(before + dots[:-1] * vertices)
-        t_next = _unit(after + dots[1:] * vertices)
-        angle = np.max(np.abs(minkowski_dot(t_prev, t_next)), axis=0)
-        # walk order to x1-first order: side s is walk side (s - k - 1) % 6
-        order = (np.arange(6)[:, None] - k - 1) % 6
-        measured = np.take_along_axis(measured, order, axis=0)
-        vertices = np.take_along_axis(vertices, order[None], axis=1)
-    return vertices.transpose(2, 1, 0), measured.T, angle, closure
+        up = np.exp(0.5 * steps)
+        down = 1.0 / up
+        a, b = np.repeat(np.eye(2)[:, :, None], len(x), axis=2)
+        for i in range(6):
+            a, b = a * up[i], b * down[i]
+            a, b = a + b, b - a
+        # the last step ends mid-side, with no turn after it
+        a, b = a * up[6], b * down[6]
+        a[0] += 8.0
+        b[1] += 8.0
+        return np.maximum(np.abs(a), np.abs(b)).max(axis=0) / 8.0
 
 
 @dataclass
 class VerificationReport:
     ok: bool
     max_closure_residual: float
-    max_angle_residual: float
-    max_side_error: float
     max_edge_mismatch: float
     max_boundary_error: float
     failures: list[str] = field(default_factory=list)
@@ -114,12 +70,13 @@ def verify_metric(cx: HexComplex, metric: HyperbolicMetric, tol: float = 1e-8) -
     """Geometric audit of a solved metric: all hexagons walked at once,
     still sharing no code with the energy.
 
-    Realizes every hexagon from its x-lengths, compares the measured
-    y-sides against the metric's edge lengths on both sides of every
-    edge, and re-sums the boundary components.  Never raises on a bad
-    metric: a residual that is not finite or an x-triple outside the
-    domain (not positive and below 1e300) fails its hexagon, and a
-    field of the wrong shape fails the audit with NaN residuals.
+    Walks every hexagon from its x-lengths and the cosine law's y-sides,
+    compares those y-sides against the metric's edge lengths on both
+    sides of every edge, and re-sums the boundary components.  Never
+    raises on a bad metric: a closure residual that is not finite or an
+    x-triple outside the domain (not positive and below 1e300) fails its
+    hexagon, and a field of the wrong shape fails the audit with NaN
+    residuals.
     """
     num_boundary = len(cx.boundary_components())
     expected = {"x_arcs": (3 * cx.n,), "edge_lengths": (cx.num_edges,), "boundary_lengths": (num_boundary,)}
@@ -130,19 +87,20 @@ def verify_metric(cx: HexComplex, metric: HyperbolicMetric, tol: float = 1e-8) -
     ]
     if failures:
         nan = float("nan")
-        return VerificationReport(False, nan, nan, nan, nan, nan, failures)
+        return VerificationReport(False, nan, nan, nan, failures)
     hex_x = np.reshape(metric.x_arcs, (cx.n, 3))
-    # walk (1, 1, 1) in place of a triple outside the domain, or with an
-    # entry from 1e300 on, where the cosine law's arithmetic overflows: it
-    # fails the side check, as |1 - v| is NaN, inf or at least 1 there
-    valid = np.all((hex_x > 0.0) & (hex_x < 1e300), axis=1, keepdims=True)
-    _, measured, angle, closure = realize_hexagons(np.where(valid, hex_x, 1.0))
-    side_err = np.max(np.abs(measured[:, 0::2] - hex_x), axis=1)
-    for h in np.flatnonzero(~((closure <= tol) & (angle <= tol) & (side_err <= tol))):
+    # the cosine law refuses a triple outside the domain and overflows
+    # from 1e300 on: such a triple fails its hexagon, and (1, 1, 1) is
+    # walked in its place
+    valid = np.all((hex_x > 0.0) & (hex_x < 1e300), axis=1)
+    x = np.where(valid[:, None], hex_x, 1.0)
+    y = hexgeom.cosine_law_y(x)
+    closure = closure_residuals(x, y)
+    for h in np.flatnonzero(~(valid & (closure <= tol))):
         failures.append(f"hexagon {h}: realization residual above {tol:g}")
-    # (m, 2): each edge's y-side as measured in the hexagon on either
-    # side; arc 3h + i is opposite y-side i of hexagon h
-    sides = measured[:, [3, 5, 1]].ravel()[cx.edge_arcs]
+    # (m, 2): each edge's y-side in the hexagon on either side; arc
+    # 3h + i is opposite y-side i of hexagon h
+    sides = y.ravel()[cx.edge_arcs]
     err = np.abs(sides[:, 0] - sides[:, 1])
     mean_err = np.max(np.abs(sides - metric.edge_lengths[:, None]), axis=1)
     max_edge = float(np.maximum(err.max(), mean_err.max()))
@@ -158,8 +116,6 @@ def verify_metric(cx: HexComplex, metric: HyperbolicMetric, tol: float = 1e-8) -
     return VerificationReport(
         ok=not failures,
         max_closure_residual=float(closure.max()),
-        max_angle_residual=float(angle.max()),
-        max_side_error=float(side_err.max()),
         max_edge_mismatch=max_edge,
         max_boundary_error=max_boundary,
         failures=failures,

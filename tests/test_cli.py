@@ -354,10 +354,13 @@ def _assert_solve_refused_by_audit(pants_file, tmp_path, capsys, value):
     assert doc["verification_failures"]
 
 
-def test_solve_failed_audit_exits_verify(pants_file, tmp_path, capsys):
-    # the solve succeeds (x = 20, y ~ 9e-5) but the audit's walk cannot
-    # resolve it: a verification failure, not an input error
-    _assert_solve_refused_by_audit(pants_file, tmp_path, capsys, 20.0)
+def test_solve_pants_at_z20_passes_the_audit(pants_file, tmp_path, capsys):
+    # x = 20, y ~ 9e-5: the hyperboloid walk's rounding refused this
+    # correct metric; the SL(2,R) closure is 4e-12
+    z = write_coords(tmp_path, "z.json", {"e0": 20.0, "e1": 20.0, "e2": 20.0})
+    assert run(["solve", pants_file, "--z", z]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verified"] and out["verification_failures"] == []
 
 
 def test_solve_large_z_hessian_finite_exits_verify(pants_file, tmp_path, capsys):

@@ -1,114 +1,46 @@
-"""Hyperboloid-model realization: the independent geometric oracle."""
+"""SL(2,R) closure walk: the independent geometric oracle."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from hexmetric import hexgeom, realize, solver
-from hexmetric.realize import (
-    distance,
-    minkowski_dot,
-    normalize_point,
-    realize_hexagons,
-    verify_metric,
-)
+from hexmetric.realize import closure_residuals, verify_metric
 
 from conftest import seeded_complex
 
 RNG = np.random.default_rng(20240815)
 
 
-def random_point(rng):
-    v = rng.uniform(-1.5, 1.5, 2)
-    return normalize_point(np.array([math.sqrt(1.0 + v @ v), v[0], v[1]]))
-
-
-def random_isometry(rng: np.random.Generator) -> np.ndarray:
-    """A random orientation-preserving Minkowski isometry (rotation
-    composed with a boost)."""
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    rot = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, math.cos(phi), -math.sin(phi)],
-            [0.0, math.sin(phi), math.cos(phi)],
-        ]
-    )
-    d = rng.uniform(-1.0, 1.0)
-    boost = np.array(
-        [
-            [math.cosh(d), math.sinh(d), 0.0],
-            [math.sinh(d), math.cosh(d), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    return rot @ boost
-
-
-def test_distance_properties():
-    for _ in range(200):
-        p, q, r = (random_point(RNG) for _ in range(3))
-        assert distance(p, p) == pytest.approx(0.0, abs=1e-7)
-        assert distance(p, q) == pytest.approx(distance(q, p), abs=1e-12)
-        assert distance(p, q) >= 0.0
-        assert distance(p, r) <= distance(p, q) + distance(q, r) + 1e-10
-
-
-def test_distance_resolves_small_separations():
-    # arccosh(-<p,q>) rounds these to 0, which hid closure residuals
-    for d in (1e-12, 1e-10, 1e-8):
-        p = np.array([1.0, 0.0, 0.0])
-        q = np.array([math.cosh(d), math.sinh(d), 0.0])
-        assert distance(p, q) == pytest.approx(d, rel=1e-6)
-
-
-def test_distance_isometry_invariant():
-    for _ in range(200):
-        p, q = random_point(RNG), random_point(RNG)
-        g = random_isometry(RNG)
-        assert distance(g @ p, g @ q) == pytest.approx(distance(p, q), abs=1e-9)
-
-
-def test_points_stay_on_hyperboloid():
-    for _ in range(100):
-        p = random_point(RNG)
-        assert minkowski_dot(p, p) == pytest.approx(-1.0, abs=1e-12)
-        g = random_isometry(RNG)
-        assert minkowski_dot(g @ p, g @ p) == pytest.approx(-1.0, abs=1e-9)
+def law_closure(x):
+    """Closure residuals of x-triples walked with the cosine law's y-sides."""
+    x = np.asarray(x, dtype=float)
+    return closure_residuals(x, hexgeom.cosine_law_y(x))
 
 
 def test_realization_matches_cosine_law_random_triples():
-    # 1000 random x-triples: the measured hexagons agree with the
-    # arithmetic cosine law to 1e-9; sides run x1, y3, x2, y1, x3, y2
+    # 1000 random x-triples walked with the arithmetic cosine law's
+    # y-sides close to 1e-9
     x = RNG.uniform(0.3, 3.0, (1000, 3))
-    _, measured, angle, closure = realize_hexagons(x)
-    y = hexgeom.cosine_law_y(x)
-    worst = max(
-        closure.max(),
-        angle.max(),
-        np.abs(measured[:, 0::2] - x).max(),
-        np.abs(measured[:, [3, 5, 1]] - y).max(),
-    )
+    worst = law_closure(x).max()
     assert worst < 1e-9, worst
 
 
 def test_realization_long_sided_hexagons():
-    # short x-sides give long y-sides; coordinates grow like
-    # e^distance, and the residuals must still stay below the audit's
-    # 1e-8 gate
+    # short x-sides give long y-sides; entries grow like e^(distance/2),
+    # and the residuals must still stay below the audit's 1e-8 gate
     x = np.exp(RNG.uniform(math.log(0.1), math.log(4.0), (300, 3)))
-    _, measured, angle, closure = realize_hexagons(x)
-    worst = max(closure.max(), angle.max(), np.abs(measured[:, 0::2] - x).max())
+    worst = law_closure(x).max()
     assert worst < 1e-8, worst
 
 
 def test_realization_symmetric_hexagon():
+    # the regular right-angled hexagon has every side arccosh 2
     u = math.acosh(2.0)
-    _, measured, angle, closure = realize_hexagons([(u, u, u)])
-    assert np.abs(measured - u).max() < 1e-12
-    assert closure[0] < 1e-12
-    assert angle[0] < 1e-12
+    assert closure_residuals([(u, u, u)], [(u, u, u)])[0] < 1e-12
+    assert law_closure([(u, u, u)])[0] < 1e-12
 
 
 def test_verify_metric_accepts_converged_solution(pants):
@@ -157,7 +89,7 @@ def test_verify_metric_detects_corrupt_hexagon(four):
 
 def test_stacked_walk_matches_single_hexagons():
     # each of the six sides is the longest in one of the fixed rows, so
-    # every shift from walk order to x1-first order is exercised
+    # every start of the walk is exercised
     fixed = np.array(
         [
             (3.0, 2.0, 2.0), (2.0, 3.0, 2.0), (2.0, 2.0, 3.0),  # sides 0, 2, 4
@@ -166,12 +98,77 @@ def test_stacked_walk_matches_single_hexagons():
         ]
     )
     rows = np.vstack([fixed, np.exp(RNG.uniform(math.log(0.1), math.log(4.0), (60, 3)))])
-    vertices, measured, angle, closure = realize_hexagons(rows)
-    assert set(np.argmax(measured[: len(fixed)], axis=1)) == set(range(6))
-    for h, x in enumerate(rows):
-        one = realize_hexagons(x[None])
-        for stacked, single in zip((vertices, measured, angle, closure), one):
-            assert np.max(np.abs(stacked[h] - single[0])) <= 1e-12
+    y = hexgeom.cosine_law_y(rows)
+    ring = np.stack([rows[:, 0], y[:, 2], rows[:, 1], y[:, 0], rows[:, 2], y[:, 1]], axis=1)
+    assert set(np.argmax(ring[: len(fixed)], axis=1)) == set(range(6))
+    stacked = closure_residuals(rows, y)
+    assert stacked.max() < 1e-9
+    for h in range(len(rows)):
+        assert abs(stacked[h] - closure_residuals(rows[h][None], y[h][None])[0]) <= 1e-12
+
+
+def _mp_closure(x) -> mpmath.mpf:
+    """max|M + I| of a hexagon's SL(2,R) walk in mpmath, its y-sides from
+    the law cosh y_i = (cosh x_i + cosh x_j cosh x_k) / (sinh x_j sinh x_k),
+    taken as cosh y_i - 1 = (cosh x_i + cosh(x_j - x_k)) / (sinh x_j sinh x_k)
+    so that a short y-side keeps its digits; the walk starts half-way
+    along the longest side."""
+    x = [mpmath.mpf(float(v)) for v in x]
+    y = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        u = (mpmath.cosh(x[i]) + mpmath.cosh(x[j] - x[k])) / (mpmath.sinh(x[j]) * mpmath.sinh(x[k]))
+        y.append(2 * mpmath.asinh(mpmath.sqrt(u / 2)))
+    sides = [x[0], y[2], x[1], y[0], x[2], y[1]]
+    k = max(range(6), key=lambda i: sides[i])
+    steps = [sides[(k + j) % 6] for j in range(7)]
+    steps[0] /= 2
+    steps[6] /= 2
+    r = 1 / mpmath.sqrt(2)
+    turn = mpmath.matrix([[r, -r], [r, r]])
+    m = mpmath.eye(2)
+    for j, length in enumerate(steps):
+        m = m * mpmath.diag([mpmath.exp(length / 2), mpmath.exp(-length / 2)])
+        if j < 6:
+            m = m * turn
+    return max(abs(v) for v in m + mpmath.eye(2))
+
+
+def test_closure_matches_mpmath_walk():
+    # at 50 digits the walk of a hexagon with the law's y-sides is -I to
+    # 1e-40; the float walk stays below the audit's 1e-8 wherever the
+    # perimeter is below 60, where its rounding eps e^(P/2) is
+    x = np.exp(RNG.uniform(math.log(1e-3), math.log(30.0), (200, 3)))
+    with mpmath.workdps(50):
+        worst = max(_mp_closure(row) for row in x)
+    assert worst < mpmath.mpf("1e-40"), worst
+    y = hexgeom.cosine_law_y(x)
+    short = x.sum(axis=1) + y.sum(axis=1) < 60.0
+    assert short.sum() > 150
+    assert closure_residuals(x, y)[short].max() < 1e-8
+
+
+def test_verify_metric_fails_hexagon_with_perturbed_law_y(four, monkeypatch):
+    # y-sides 1e-7 relative off the law leave one hexagon open: that
+    # hexagon, and no other, fails its closure
+    lengths = RNG.uniform(0.5, 2.0, four.num_edges)
+    z, _, _ = solver.forward_map(four, lengths)
+    t, _ = solver.maximize(four, z)
+    metric = solver.extract_metric(four, t)
+    assert verify_metric(four, metric).ok
+    law = hexgeom.cosine_law_y
+
+    def perturbed(x):
+        y = law(x)
+        y[2] *= 1.0 + 1e-7
+        return y
+
+    monkeypatch.setattr(realize.hexgeom, "cosine_law_y", perturbed)
+    report = verify_metric(four, metric)
+    assert [f for f in report.failures if f.startswith("hexagon")] == [
+        "hexagon 2: realization residual above 1e-08"
+    ]
+    assert report.max_closure_residual > 1e-8
 
 
 def test_verify_metric_at_scale():
@@ -212,16 +209,18 @@ def test_verify_metric_reports_out_of_domain_hexagon(four, value):
     assert not any(f.startswith(("hexagon 0", "hexagon 2", "hexagon 3")) for f in report.failures)
 
 
-def test_verify_metric_reports_walk_off_the_hyperboloid(pants):
-    # x = 20 gives y ~ 9e-5: the walk's coordinates reach ~e^20, where
-    # rounding alone is far above the tolerance; the audit must say so
-    # in its report rather than raise
-    t, _ = solver.maximize(pants, np.full(3, 20.0))
-    metric = solver.extract_metric(pants, t)
-    assert np.allclose(metric.x_arcs, 20.0)
-    report = verify_metric(pants, metric)
-    assert not report.ok
-    assert "hexagon 0: realization residual above 1e-08" in report.failures
+def test_verify_metric_accepts_long_sided_pants(pants):
+    # x = z on the symmetric pants, with y from 0.037 down to 1e-6: the
+    # closure's rounding grows like e^(z/2) and stays below 1e-9 here,
+    # where the hyperboloid walk's e^z rounding failed these correct
+    # metrics from z = 8 on
+    for value in (8.0, 12.0, 20.0, 29.0):
+        t, _ = solver.maximize(pants, np.full(3, value))
+        metric = solver.extract_metric(pants, t)
+        assert np.allclose(metric.x_arcs, value)
+        report = verify_metric(pants, metric)
+        assert report.ok, (value, report.failures)
+        assert report.max_closure_residual < 1e-9
 
 
 def test_verify_metric_reports_overflowing_hexagon(pants):
@@ -236,20 +235,6 @@ def test_verify_metric_reports_overflowing_hexagon(pants):
     assert not report.ok
     assert "hexagon 1: realization residual above 1e-08" in report.failures
     assert not any(f.startswith("hexagon 0") for f in report.failures)
-
-
-def test_helpers_on_stacks_match_single_points():
-    # a (3, k) stack holds one point per column; each helper must give
-    # the bits it gives on the points one at a time
-    p = np.stack([random_point(RNG) for _ in range(40)], axis=1)
-    q = np.stack([random_point(RNG) for _ in range(40)], axis=1)
-    raw = 1.5 * q
-    dot, unit, dist = minkowski_dot(p, q), normalize_point(raw), distance(p, q)
-    assert p.shape == (3, 40) and dot.shape == dist.shape == (40,)
-    for j in range(40):
-        assert np.array_equal(dot[j], minkowski_dot(p[:, j], q[:, j]))
-        assert np.array_equal(unit[:, j], normalize_point(raw[:, j]))
-        assert np.array_equal(dist[j], distance(p[:, j], q[:, j]))
 
 
 @pytest.mark.parametrize("name", ["x_arcs", "edge_lengths", "boundary_lengths"])
