@@ -11,9 +11,11 @@ max-margin interior starting point for the energy maximizer.  Both come
 from one LP, the max-margin LP over the slice, whose dual is the cone
 LP above.  Each of its rows has two unit-coefficient variables, so its
 optimum is the minimum cycle mean of a graph on the x-arcs whose cycles
-are the closed edge cycles.  Howard's policy iteration, vectorised over
-the arcs, gives that mean together with a minimizing edge cycle (the
-infeasibility certificate) and potentials (the max-margin witness).
+are the closed edge cycles; the complex holds its steps
+(``HexComplex.arc_succ``), and each LP computes only their weights.
+Howard's policy iteration, vectorised over the arcs, gives that mean
+together with a minimizing edge cycle (the infeasibility certificate)
+and potentials (the max-margin witness).
 """
 
 from __future__ import annotations
@@ -94,25 +96,6 @@ def cone_inequalities(cx: HexComplex) -> np.ndarray:
 MAX_POLICIES = 500
 
 
-def _arc_graph(cx: HexComplex, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steps of the arc graph, as (3n, 2) successor and weight arrays.
-
-    Node a stands for the literal sign(a) s(e(a)), the free coordinate
-    of arc a's facing pair.  For each other arc u of a's hexagon there
-    is a step from a to the arc facing u (across edge e(u)), of weight
-    (z[e(a)] + z[e(u)]) / 2.  A closed walk crosses the edges e(a) of
-    its nodes in turn, so its cycles are the closed edge cycles, and a
-    cycle's weight is its z-sum.
-    """
-    mate = np.empty(cx.num_arcs, dtype=np.intp)
-    mate[cx.edge_arcs] = cx.edge_arcs[:, ::-1]
-    hex_arcs = np.arange(cx.num_arcs).reshape(cx.n, 3)
-    others = np.stack([hex_arcs[:, [1, 2, 0]].ravel(), hex_arcs[:, [2, 0, 1]].ravel()], axis=1)
-    succ = mate[others]
-    z_arc = z[cx.arc_edge]
-    return succ, 0.5 * (z_arc[:, None] + z_arc[succ])
-
-
 def _evaluate(nxt: np.ndarray, cost: np.ndarray, h_old: np.ndarray, levels: int):
     """Cycle means, values and cycle roots of the policy a -> nxt[a].
 
@@ -145,37 +128,38 @@ def _evaluate(nxt: np.ndarray, cost: np.ndarray, h_old: np.ndarray, levels: int)
 
 
 def _min_mean_cycle(succ: np.ndarray, w: np.ndarray):
-    """Minimum cycle mean of the graph with steps a -> succ[a, c] of
-    weight w[a, c], by Howard's policy iteration (Cochet-Terrasson et
-    al. 1998).  A policy is one boolean per node, True for column 1; the
-    first is greedy after ``levels`` rounds of value iteration from 0.
+    """Minimum cycle mean of the graph with steps a -> succ[c, a] of
+    weight w[c, a], c = 0, 1, by Howard's policy iteration
+    (Cochet-Terrasson et al. 1998).  A policy is one boolean per node,
+    True for step 1; the first is greedy after ``levels`` rounds of
+    value iteration from 0.
 
     Returns (mu, d, cycle): the least mean weight of a cycle, potentials
-    d with d[succ] <= d[:, None] + w - mu up to rounding, and the nodes
-    of a cycle of mean mu in walk order.  Raises LPError when the
-    iteration does not settle within MAX_POLICIES policies, or when the
-    graph is not strongly connected and the final policy keeps cycles
-    of different means.
+    d with d[succ] <= d + w - mu up to rounding, and the nodes of a
+    cycle of mean mu in walk order.  Raises LPError when the iteration
+    does not settle within MAX_POLICIES policies, or when the graph is
+    not strongly connected and the final policy keeps cycles of
+    different means.
     """
-    succ_t, w_t = np.ascontiguousarray(succ.T), np.ascontiguousarray(w.T)
-    levels = (len(succ) - 1).bit_length()
+    size = succ.shape[1]
+    levels = (size - 1).bit_length()
     scale = np.abs(w).max()
     tol = 1e-12 * scale
-    q = w_t
+    q = w
     for _ in range(levels):
-        q = w_t + q.min(axis=0)[succ_t]
+        q = w + q.min(axis=0)[succ]
     pick = q[1] < q[0]
-    h = np.zeros(len(succ))
+    h = np.zeros(size)
     for _ in range(MAX_POLICIES):
-        nxt = np.where(pick, succ_t[1], succ_t[0])
-        eta, h, root = _evaluate(nxt, np.where(pick, w_t[1], w_t[0]), h, levels)
+        nxt = np.where(pick, succ[1], succ[0])
+        eta, h, root = _evaluate(nxt, np.where(pick, w[1], w[0]), h, levels)
         # first move toward a cycle of smaller mean; only when no node
         # can, toward a smaller value among steps that keep the mean
-        eta_next = eta[succ_t]
+        eta_next = eta[succ]
         best = eta_next[1] < eta_next[0]
         better = eta_next.min(axis=0) < eta - tol
         if not better.any():
-            value = np.where(eta_next <= eta + tol, w_t - eta + h[succ_t], np.inf)
+            value = np.where(eta_next <= eta + tol, w - eta + h[succ], np.inf)
             best = value[1] < value[0]
             better = value.min(axis=0) < h - 1e-12 * (np.abs(h) + scale)
             if not better.any():
@@ -207,14 +191,17 @@ def _margin_lp(cx: HexComplex, z: np.ndarray):
     l(u) + l(v) >= mu - (z[e(u)] + z[e(v)]) / 2, and l of an arc is
     minus l of the arc facing it: two unit-coefficient variables per row
     (Hochbaum and Naor 1994).  So mu is the minimum cycle mean of the
-    arc graph (see _arc_graph), which is also the minimum of z.y over
-    the cone D cut by sum(y) = 1, this LP's dual.  y is a cycle of that
-    mean as its edges in crossing order; its edge multiplicities over
-    its length are the dual minimizer.  The witness s(e) = (d(a) -
-    d(a')) / 2, from the graph's potentials d at e's facing arcs a, a'
-    (sides 0 and 1), has margin mu.
+    arc graph, whose step a -> cx.arc_succ[c, a], to the arc facing a
+    hexagon-mate u of a, weighs (z[e(a)] + z[e(u)]) / 2, so a cycle
+    weighs its z-sum.  That is also the minimum of z.y over the cone D
+    cut by sum(y) = 1, this LP's dual.  y is a cycle of that mean as its
+    edges in crossing order; its edge multiplicities over its length are
+    the dual minimizer.  The witness s(e) = (d(a) - d(a')) / 2, from the
+    graph's potentials d at e's facing arcs a, a' (sides 0 and 1), has
+    margin mu.
     """
-    mu, d, cycle = _min_mean_cycle(*_arc_graph(cx, z))
+    z_arc = z[cx.arc_edge]
+    mu, d, cycle = _min_mean_cycle(cx.arc_succ, 0.5 * (z_arc + z_arc[cx.arc_succ]))
     _, s = coords.slice_coords(cx, d)
     return mu, coords.slice_point(cx, z, s), cx.arc_edge[cycle]
 

@@ -30,14 +30,14 @@ size.  The energy itself is computed once per solve, for the report.
 Each Newton quantity is one hexgeom call on the (n, 3) array of all
 hexagons' t-triples, scattered to the edges through the complex's
 incidence arrays.  The reduced Hessian has 9 block entries per hexagon,
-scattered by one bincount through positions fixed once per complex
-(`HexComplex.hessian_pattern`).  One function, `_newton_solver`, picks
-how the Newton steps of a solve are solved, from the complex's edge
-count: on at most `_DIRECT_MAX_EDGES` edges the blocks land in a dense
-(m, m) array solved with LAPACK; above that size they land in the data
-of a CSR matrix, built once per solve, solved by a short diagonally
-preconditioned conjugate-gradient loop, stopped at the inexact-Newton
-forcing term.
+scattered by one bincount onto the stored entries of a pattern fixed
+once per complex (`HexComplex.hessian_pattern`).  One function,
+`_newton_solver`, picks how the Newton steps of a solve are solved,
+from the complex's edge count: on at most `_DIRECT_MAX_EDGES` edges
+that data is placed at its positions in a dense (m, m) array, solved
+with LAPACK; above that size it is the data of a CSR matrix, solved by
+a short diagonally preconditioned conjugate-gradient loop stopped at
+the inexact-Newton forcing term.  Either matrix is made once per solve.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ class SolveConfig:
     max_iter: int = 100
 
     def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        # an infinite tol would stop at the start, unsolved
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
@@ -82,7 +83,6 @@ class SolveReport:
     grad_norm: float
     consistency: float
     energy: float
-    achieved_z: np.ndarray
     converged: bool
     # conjugate-gradient iterations over all Newton steps; 0 when every
     # step was a dense solve (complexes of at most _DIRECT_MAX_EDGES edges)
@@ -148,30 +148,12 @@ def _reduced_gradient(cx: HexComplex, grad: np.ndarray) -> np.ndarray:
     return np.bincount(cx.arc_edge, weights=cx.arc_sign * grad.ravel(), minlength=cx.num_edges)
 
 
-def _neg_hessian_dense(cx: HexComplex, hess: np.ndarray) -> np.ndarray:
-    """Negated Hessian -H of the energy in s, symmetric positive definite,
-    as a dense (m, m) array from the hexagons' (n, 3, 3) Hessian blocks.
-    Entries that share a position are summed by the bincount in the same
-    order as in the CSR data of _neg_hessian_csr."""
-    m = cx.num_edges
-    pattern = cx.hessian_pattern
-    flat = np.bincount(pattern.flat, weights=pattern.neg_sign * hess.ravel(), minlength=m * m)
-    return flat.reshape(m, m)
-
-
 def _neg_hessian_data(cx: HexComplex, hess: np.ndarray) -> np.ndarray:
-    """The data of -H on the complex's fixed CSR pattern: each hexagon's
-    3x3 block scattered by one bincount, duplicate slots summed."""
+    """The data of -H on the complex's fixed pattern, for the dense and
+    the CSR Newton matrix alike: each hexagon's 3x3 block scattered by
+    one bincount, duplicate slots summed."""
     pattern = cx.hessian_pattern
     return np.bincount(pattern.slot, weights=pattern.neg_sign * hess.ravel(), minlength=len(pattern.indices))
-
-
-def _neg_hessian_csr(cx: HexComplex, hess: np.ndarray):
-    """-H as a new CSR matrix on the complex's fixed pattern."""
-    from scipy.sparse import csr_array
-
-    pattern = cx.hessian_pattern
-    return csr_array((_neg_hessian_data(cx, hess), pattern.indices, pattern.indptr), shape=(cx.num_edges,) * 2)
 
 
 def _pcg(a, b: np.ndarray, inv_diag: np.ndarray, rtol: float = _CG_RTOL) -> tuple[np.ndarray, int]:
@@ -207,32 +189,37 @@ def _newton_solver(cx: HexComplex):
     dozen or so Python-level iterations an iterative solve takes.  Above
     that the dense solve's cubic cost overtakes; -H is diagonally
     dominant, so diagonally preconditioned CG converges fast where a
-    sparse LU would fill in.  The CG matrix is built once, on the
-    complex's fixed pattern, and each step overwrites its data.  CG
+    sparse LU would fill in.  The matrix is made once per solve, on the
+    complex's fixed pattern, and each step overwrites its entries.  CG
     stops at the relative residual min(0.1, grad_norm), the
     inexact-Newton forcing term (Dembo, Eisenstat and Steihaug 1982):
     loose far from the maximizer, tight near it, so the local
     convergence stays superlinear; an inexact step is still an ascent
     direction.
     """
-    if cx.num_edges <= _DIRECT_MAX_EDGES:
+    m = cx.num_edges
+    pattern = cx.hessian_pattern
+    if m <= _DIRECT_MAX_EDGES:
+        dense = np.zeros(m * m)
 
         def dense_step(hess: np.ndarray, g_s: np.ndarray, grad_norm: float) -> tuple[np.ndarray, int]:
+            dense[pattern.entries] = _neg_hessian_data(cx, hess)
             try:
-                return np.linalg.solve(_neg_hessian_dense(cx, hess), g_s), 0
+                return np.linalg.solve(dense.reshape(m, m), g_s), 0
             except np.linalg.LinAlgError as exc:
                 raise SolveError(f"Newton system is singular: {exc}") from exc
 
         return dense_step
 
+    from scipy.sparse import csr_array
+
     # one matrix per solve, on the fixed pattern; each step overwrites its data
-    neg_h = _neg_hessian_csr(cx, np.zeros((cx.n, 3, 3)))
-    diagonal = cx.hessian_pattern.diagonal
+    neg_h = csr_array((np.zeros(len(pattern.indices)), pattern.indices, pattern.indptr), shape=(m, m))
 
     def cg_step(hess: np.ndarray, g_s: np.ndarray, grad_norm: float) -> tuple[np.ndarray, int]:
         neg_h.data[:] = _neg_hessian_data(cx, hess)
         rtol = max(_CG_RTOL, min(0.1, grad_norm))
-        return _pcg(neg_h, g_s, 1.0 / neg_h.data[diagonal], rtol)
+        return _pcg(neg_h, g_s, 1.0 / neg_h.data[pattern.diagonal], rtol)
 
     return cg_step
 
@@ -270,8 +257,7 @@ def maximize(
     z, t, s, _ = _slice_start(cx, z, start_t)
 
     def report(iterations: int, converged: bool, consistency: float) -> SolveReport:
-        achieved_z, _ = coords.slice_coords(cx, t)
-        return SolveReport(iterations, grad_norm, consistency, energy(cx, t), achieved_z, converged, cg_iterations)
+        return SolveReport(iterations, grad_norm, consistency, energy(cx, t), converged, cg_iterations)
 
     # the hexagons' energy gradients and Hessians at t and the reduced
     # gradient, from which the stopping rule and the next step are read

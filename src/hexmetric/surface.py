@@ -68,9 +68,9 @@ class HessianPattern(NamedTuple):
     -arc_sign[3h + a] * arc_sign[3h + b].  A self-glued hexagon has an
     edge twice, so several block entries can share a slot; they are
     summed.  Scattering the energy Hessian's blocks this way gives the
-    CSR data of -H.  ``flat[9h + 3a + b]`` is the block entry's position
-    row * m + col in the row-major (m, m) matrix, so the same scatter
-    with ``flat`` for ``slot`` gives -H as a dense array.
+    CSR data of -H.  ``entries[k]`` is stored entry k's position
+    row * m + col in the row-major (m, m) matrix, so that data placed at
+    ``entries`` of a zero array gives -H as a dense array.
     """
 
     indptr: np.ndarray  # (m + 1,)
@@ -78,7 +78,7 @@ class HessianPattern(NamedTuple):
     diagonal: np.ndarray  # (m,): position in data of entry (e, e)
     slot: np.ndarray  # (9n,)
     neg_sign: np.ndarray  # (9n,)
-    flat: np.ndarray  # (9n,)
+    entries: np.ndarray  # (nnz,), increasing
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,9 @@ class HexComplex:
     the multicurve of weight 2, traced by ``_trace``, numbered in order
     of their lowest arcs.
 
-    ``hessian_pattern`` (a HessianPattern of read-only arrays) is built
-    on first use, by the first Newton step, and kept.
+    The solvers' fixed structure, ``arc_succ`` (the LP's arc graph) and
+    ``hessian_pattern`` (a HessianPattern), is built of read-only arrays
+    on first use, by the first LP and the first Newton step, and kept.
     """
 
     n: int
@@ -197,6 +198,21 @@ class HexComplex:
             a.flags.writeable = False
 
     @cached_property
+    def arc_succ(self) -> np.ndarray:
+        """(2, 3n) successors of the arc graph: ``arc_succ[c, a]`` is the
+        arc facing arc a's hexagon-mate u = 3h + (i + c + 1) % 3, for
+        a = 3h + i, across edge e(u).  Node a stands for the literal
+        sign(a) s(e(a)); a closed walk crosses the edges e(a) of its
+        nodes in turn, so the graph's cycles are the closed edge cycles.
+        """
+        mate = np.empty(self.num_arcs, dtype=np.intp)
+        mate[self.edge_arcs] = self.edge_arcs[:, ::-1]
+        mate = mate.reshape(self.n, 3)
+        succ = np.stack([mate[:, [1, 2, 0]].ravel(), mate[:, [2, 0, 1]].ravel()])
+        succ.flags.writeable = False
+        return succ
+
+    @cached_property
     def hessian_pattern(self) -> HessianPattern:
         m = self.num_edges
         edges = self.arc_edge.reshape(self.n, 3)
@@ -212,7 +228,7 @@ class HexComplex:
             diagonal=np.flatnonzero(row == col),
             slot=slot,
             neg_sign=-(signs[:, :, None] * signs[:, None, :]).ravel(),
-            flat=key,
+            entries=entries,
         )
         for a in pattern:
             a.flags.writeable = False

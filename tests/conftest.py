@@ -72,3 +72,12 @@ def seeded_complex(n: int, seed: int) -> HexComplex:
             return HexComplex(n=n, gluings=gluings)
         except InvalidComplexError:
             continue
+
+
+def self_glued_complex() -> HexComplex:
+    """Two hexagons with hexagon 0's seams 1 and 3 glued to each other,
+    so its edge e0 bounds hexagon 0 twice."""
+    return HexComplex(
+        n=2,
+        gluings=[((0, 1), (0, 3), False), ((0, 5), (1, 1), False), ((1, 3), (1, 5), True)],
+    )

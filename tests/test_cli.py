@@ -109,6 +109,16 @@ def test_solve_non_convergence_exit(tmp_path):
     assert run(args) == cli.EXIT_NO_CONVERGENCE
 
 
+def test_solve_infinite_tol_exits_input(tmp_path, capsys):
+    # with tol = inf the start would pass as converged, though on four its
+    # seams disagree by 0.54, and the audit, run at max(tol, 1e-8), would
+    # verify it
+    z = write_coords(tmp_path, "z.json", dict(zip(
+        ["e0", "e1", "e2", "e3", "e4", "e5"], [0.3, 1.7, 0.9, 1.1, 0.6, 1.4])))
+    assert run(["solve", str(FOUR_FILE), "--z", z, "--tol", "inf"]) == cli.EXIT_INPUT
+    assert "tol must be finite and positive" in capsys.readouterr().err
+
+
 def test_solve_non_convergence_emits_the_report(tmp_path, capsys):
     # the error names the point the solve stopped at, as the library's
     # SolveError report does
@@ -355,8 +365,8 @@ def _assert_solve_refused_by_audit(pants_file, tmp_path, capsys, value):
 
 
 def test_solve_pants_at_z20_passes_the_audit(pants_file, tmp_path, capsys):
-    # x = 20, y ~ 9e-5: the hyperboloid walk's rounding refused this
-    # correct metric; the SL(2,R) closure is 4e-12
+    # x = 20, y ~ 9e-5: a correct metric, whose SL(2,R) closure residual
+    # is 4e-12, far below the 1e-8 gate
     z = write_coords(tmp_path, "z.json", {"e0": 20.0, "e1": 20.0, "e2": 20.0})
     assert run(["solve", pants_file, "--z", z]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -18,7 +18,7 @@ from hexmetric.polytope import (
     interior_point,
 )
 
-from conftest import seeded_complex
+from conftest import seeded_complex, self_glued_complex
 
 RNG = np.random.default_rng(20240813)
 
@@ -268,10 +268,40 @@ def test_two_classes_raise_lp_error():
     # 3; node 0 may step into {2, 3}, but nothing leaves it, so the final
     # policy keeps both means (an arc graph is strongly connected, so
     # this cannot happen there)
-    succ = np.array([[1, 2], [0, 0], [3, 2], [2, 2]])
-    w = np.array([[0.5, 0.5], [1.5, 1.5], [3.0, 4.0], [3.0, 3.0]])
+    succ = np.array([[1, 0, 3, 2], [2, 0, 2, 2]])
+    w = np.array([[0.5, 1.5, 3.0, 3.0], [0.5, 1.5, 4.0, 3.0]])
     with pytest.raises(polytope.LPError, match="different means"):
         polytope._min_mean_cycle(succ, w)
+
+
+def _arc_cases(pants, torus, four):
+    return [pants, torus, four, seeded_complex(32, 20241107), self_glued_complex()]
+
+
+def test_arc_succ_steps_to_the_arcs_facing_the_hexagon_mates(pants, torus, four):
+    for cx in _arc_cases(pants, torus, four):
+        mate = {}
+        for e in range(cx.num_edges):
+            a, b = cx.facing_arcs(e)
+            mate[a], mate[b] = b, a
+        expected = [
+            [mate[3 * (a // 3) + (a + c + 1) % 3] for a in range(cx.num_arcs)]
+            for c in (0, 1)
+        ]
+        assert cx.arc_succ.dtype == np.intp
+        np.testing.assert_array_equal(cx.arc_succ, expected)
+
+
+def test_arc_succ_is_read_only_and_reused(pants, torus, four):
+    for cx in _arc_cases(pants, torus, four):
+        z = np.ones(cx.num_edges)
+        check_feasibility(cx, z)
+        succ = cx.arc_succ
+        assert not succ.flags.writeable
+        with pytest.raises(ValueError):
+            succ[0, 0] = 0
+        check_feasibility(cx, z)
+        assert cx.arc_succ is succ
 
 
 def test_feasibility_does_not_import_scipy_optimize():

@@ -210,10 +210,9 @@ def test_verify_metric_reports_out_of_domain_hexagon(four, value):
 
 
 def test_verify_metric_accepts_long_sided_pants(pants):
-    # x = z on the symmetric pants, with y from 0.037 down to 1e-6: the
-    # closure's rounding grows like e^(z/2) and stays below 1e-9 here,
-    # where the hyperboloid walk's e^z rounding failed these correct
-    # metrics from z = 8 on
+    # x = z on the symmetric pants, with y from 0.037 down to 1e-6:
+    # correct metrics, whose closure rounding grows like e^(z/2) and
+    # stays below 1e-9 here (5e-15 at z = 8, 1.6e-10 at z = 29)
     for value in (8.0, 12.0, 20.0, 29.0):
         t, _ = solver.maximize(pants, np.full(3, value))
         metric = solver.extract_metric(pants, t)
@@ -225,9 +224,9 @@ def test_verify_metric_accepts_long_sided_pants(pants):
 
 def test_verify_metric_reports_overflowing_hexagon(pants):
     # (400, 400, 400) is positive and finite, and its cosine law gives
-    # y = 2.8e-87, but the walk's coordinates reach e^400 and leave the
-    # hyperboloid: that hexagon fails, the other is still walked, and
-    # nothing raises
+    # y = 2.8e-87, but the SL(2,R) walk's rounding, which grows like
+    # e^(x/2), swamps it and leaves a closure residual of 1.0: that
+    # hexagon fails, the other is still walked, and nothing raises
     t, _ = solver.maximize(pants, np.full(3, math.acosh(2.0)))
     metric = solver.extract_metric(pants, t)
     metric.x_arcs[3:6] = 400.0  # hexagon 1
