@@ -132,7 +132,9 @@ def cmd_solve(args) -> int:
             doc["report"] = {k: getattr(exc.report, k) for k in fields}
         _emit(doc, args.json_out)
         return EXIT_NO_CONVERGENCE
-    verification = realize.verify_metric(cx, metric, tol=max(args.tol, 1e-8))
+    # the audit keeps its own 1e-8 gate: a loose --tol stops the solve
+    # early, and must not pass an unsolved metric as verified
+    verification = realize.verify_metric(cx, metric)
     doc = {
         "edge_lengths": _edge_map(cx, metric.edge_lengths),
         "boundary_lengths": {f"b{i}": float(v) for i, v in enumerate(metric.boundary_lengths)},

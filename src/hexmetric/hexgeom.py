@@ -31,6 +31,10 @@ work along the last axis, so a whole complex is evaluated in one call.
 Inputs outside the domain (non-finite t included) raise DomainError, as
 does a gradient or Hessian row that underflows to 0; an overflow or a
 division by zero raises FloatingPointError rather than return inf or NaN.
+
+theta and theta_derivatives also take the caller's pair sums
+x = pair_sums(t) next to t, so a point's sums are formed once: theta
+tests a given x as its own, theta_derivatives takes it as tested.
 """
 
 from __future__ import annotations
@@ -80,16 +84,10 @@ def lambda1(u):
     Odd in u.  Closed form uses ln cosh s = s - ln 2 + ln(1 + e^{-2s}).
     Elementwise on arrays.
     """
-    from scipy.special import spence
-
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise DomainError(f"lambda1 requires finite u, got {u}")
-    a = np.abs(u)
-    with _raising():
-        # Li_2(x) is spence(1 - x)
-        v = 0.5 * a * a - a * _LN2 + 0.5 * spence(1.0 + np.exp(-2.0 * a)) + _PI2_24
-    return np.sign(u) * v
+    return np.sign(u) * _closed_form(np.abs(u), 1.0, _PI2_24)
 
 
 def lambda2(u):
@@ -98,14 +96,22 @@ def lambda2(u):
     The integrand has an integrable log singularity at 0; the closed form
     below is finite on [0, inf) with lambda2(0) = 0.  Elementwise on arrays.
     """
-    from scipy.special import spence
-
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0.0) & np.isfinite(u)):
         raise DomainError(f"lambda2 requires u >= 0, got {u}")
+    return np.where(u > 0.0, _closed_form(u, -1.0, -_PI2_12), 0.0)[()]
+
+
+def _closed_form(a, sign, const):
+    """0.5 a^2 - a ln 2 + 0.5 Li_2(-sign e^{-2a}) + const at finite a >= 0,
+    unchecked: lambda1(a) for sign = 1 and const = pi^2/24, lambda2(a)
+    for sign = -1 and const = -pi^2/12; sign and const may be arrays
+    that pick one or the other per entry."""
+    from scipy.special import spence
+
     with _raising():
-        v = 0.5 * u * u - u * _LN2 + 0.5 * spence(1.0 - np.exp(-2.0 * u)) - _PI2_12
-    return np.where(u > 0.0, v, 0.0)[()]
+        # Li_2(x) is spence(1 - x)
+        return 0.5 * a * a - a * _LN2 + 0.5 * spence(1.0 + sign * np.exp(-2.0 * a)) + const
 
 
 def _check_positive(v: np.ndarray, name: str) -> None:
@@ -130,6 +136,11 @@ def cosine_law_y(x):
     """
     x = np.asarray(x, dtype=float)
     _check_positive(x, "x")
+    return _cosine_law(x)
+
+
+def _cosine_law(x):
+    # cosine_law_y at x already checked positive and finite
     with _raising():
         xj, xk = x[..., _J], x[..., _K]
         d = -np.log(-np.expm1(-2.0 * x))
@@ -144,7 +155,7 @@ def cosine_law_x(y):
     with the colors swapped, total on positive triples."""
     y = np.asarray(y, dtype=float)
     _check_positive(y, "y")
-    return cosine_law_y(y)
+    return _cosine_law(y)
 
 
 def y_of_grad(g):
@@ -174,7 +185,7 @@ def _require_open_h3(t: np.ndarray) -> np.ndarray:
     return x
 
 
-def theta(t):
+def theta(t, x=None):
     """Concave hexagon energy on the closed cone H3.
 
     2*theta(t) = lambda1(t1+t2+t3) + sum_i lambda1(t_i)
@@ -183,26 +194,46 @@ def theta(t):
     [m(u)/2, M(u)/2] with u = sum(t) (see theta_min_on_slice /
     theta_max_on_slice), hence is nonnegative and bounded there.  With a
     sufficiently negative coordinate the value can be negative.
+
+    x, when given, is pair_sums(t) as the caller formed it, tested as
+    theta's own would be.  A row outside the closed cone, or with an
+    entry or total that is not finite, raises DomainError.
     """
     t = np.asarray(t, dtype=float)
-    _require_closed_h3(t)
-    total = (
-        lambda1(t.sum(axis=-1))
-        + lambda1(t).sum(axis=-1)
-        - lambda2(np.maximum(pair_sums(t), 0.0)).sum(axis=-1)
-    )
-    return 0.5 * total
+    # a sum that overflows, or one of infinite entries, is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x is None:
+            x = pair_sums(t)
+        total = t.sum(axis=-1)
+    _require(x >= 0.0, t, "t outside closed H3")
+    # in the closed cone a finite total makes t finite; a pair sum that
+    # overflowed makes the total at least 9e307, whose square below
+    # raises FloatingPointError
+    _require(np.broadcast_to((total < math.inf)[..., None], x.shape), t, "t or its total not finite")
+    # lambda1 at T and the t_i, and lambda2 at the pair sums, in one pass
+    # of their shared closed form; sign(u) makes lambda1 odd and lambda2
+    # vanish at 0
+    u = np.concatenate([total[..., None], t, x], axis=-1)
+    v = _closed_form(np.abs(u), _THETA_SIGN, _THETA_CONST)
+    return 0.5 * (np.sign(u) * _THETA_SIGN * v).sum(axis=-1)
 
 
-def _derivatives(t, gradient: bool = True, hessian: bool = True):
+# per entry of theta's (T, t_1, t_2, t_3, x_1, x_2, x_3): +1 and pi^2/24
+# for lambda1, -1 and -pi^2/12 for lambda2 (see _closed_form)
+_THETA_SIGN = np.array([1.0] * 4 + [-1.0] * 3)
+_THETA_CONST = np.array([_PI2_24] * 4 + [-_PI2_12] * 3)
+
+
+def _derivatives(t, x=None, gradient: bool = True, hessian: bool = True):
     """theta's gradient and Hessian at interior t, either one None when
     not asked for.  Both are built from the same terms: E = e^{-2|u|}
     for u = t_i and u = T, and e^{-a} and 1 - e^{-a} = -expm1(-a) for
-    a = 2x."""
+    a = 2x, with x formed and tested here unless the caller gives it
+    (see theta_derivatives)."""
     t = np.asarray(t, dtype=float)
     g = h = None
     with _raising():
-        a = 2.0 * _require_open_h3(t)  # entry i: 2(t_i + t_j)
+        a = 2.0 * (_require_open_h3(t) if x is None else x)  # entry i: 2(t_i + t_j)
         total = t.sum(axis=-1)[..., None]  # T > 0 in H3
         e_t, e_total = np.exp(-2.0 * np.abs(t)), np.exp(-2.0 * total)
         e, one_minus_e = np.exp(-a), -np.expm1(-a)
@@ -254,11 +285,15 @@ def theta_hessian(t):
     return _derivatives(t, gradient=False)[1]
 
 
-def theta_derivatives(t):
+def theta_derivatives(t, x=None):
     """(theta_grad(t), theta_hessian(t)), equal to them bit for bit, from
     one domain check and the terms the two share; raises as either
-    would."""
-    return _derivatives(t)
+    would.
+
+    x, when given, is the caller's pair_sums(t) with every entry
+    already tested finite and above H3_MARGIN (so t is finite too); the
+    kernel then forms and tests no sums of its own."""
+    return _derivatives(t, x)
 
 
 # 16-point Gauss-Legendre nodes/weights on [0, 1].

@@ -135,11 +135,13 @@ def _min_mean_cycle(succ: np.ndarray, w: np.ndarray):
     value iteration from 0.
 
     Returns (mu, d, cycle): the least mean weight of a cycle, potentials
-    d with d[succ] <= d + w - mu up to rounding, and the nodes of a
-    cycle of mean mu in walk order.  Raises LPError when the iteration
-    does not settle within MAX_POLICIES policies, or when the graph is
-    not strongly connected and the final policy keeps cycles of
-    different means.
+    d with d[succ] <= d + w - mu up to rounding, and a function that
+    walks a cycle of mean mu of the final policy and returns its nodes
+    in walk order.  The walk is a Python loop over the cycle, so it is
+    taken only when a report needs the cycle, which a feasible verdict
+    does not.  Raises LPError when the iteration does not settle within
+    MAX_POLICIES policies, or when the graph is not strongly connected
+    and the final policy keeps cycles of different means.
     """
     size = succ.shape[1]
     levels = (size - 1).bit_length()
@@ -174,10 +176,14 @@ def _min_mean_cycle(succ: np.ndarray, w: np.ndarray):
     if eta.max() - mu > tol:
         raise LPError("policy iteration ended with cycles of different means")
     start = root[np.argmin(eta)]
-    cycle = [start]
-    while (a := nxt[cycle[-1]]) != start:
-        cycle.append(a)
-    return mu, -h, np.array(cycle)
+
+    def cycle() -> np.ndarray:
+        nodes = [start]
+        while (a := nxt[nodes[-1]]) != start:
+            nodes.append(a)
+        return np.array(nodes)
+
+    return mu, -h, cycle
 
 
 def _margin_lp(cx: HexComplex, z: np.ndarray):
@@ -185,7 +191,7 @@ def _margin_lp(cx: HexComplex, z: np.ndarray):
 
     Maximizes mu over one free s per edge subject to, for every arc w
     with hexagon-mates u, v,  x(w) = t(u) + t(v) >= mu,  where t is the
-    slice point coords.slice_point(cx, z, s).  Returns (mu, t, y).
+    slice point coords.slice_point(cx, z, s).  Returns (mu, t, cycle).
 
     In the literals l(a) = sign(a) s(e(a)) a row reads
     l(u) + l(v) >= mu - (z[e(u)] + z[e(v)]) / 2, and l of an arc is
@@ -194,21 +200,23 @@ def _margin_lp(cx: HexComplex, z: np.ndarray):
     arc graph, whose step a -> cx.arc_succ[c, a], to the arc facing a
     hexagon-mate u of a, weighs (z[e(a)] + z[e(u)]) / 2, so a cycle
     weighs its z-sum.  That is also the minimum of z.y over the cone D
-    cut by sum(y) = 1, this LP's dual.  y is a cycle of that mean as its
-    edges in crossing order; its edge multiplicities over its length are
-    the dual minimizer.  The witness s(e) = (d(a) - d(a')) / 2, from the
+    cut by sum(y) = 1, this LP's dual.  cycle() walks a cycle of that
+    mean and returns its arcs in crossing order (see _min_mean_cycle);
+    their edges' multiplicities over its length are the dual minimizer.
+    The witness s(e) = (d(a) - d(a')) / 2, from the
     graph's potentials d at e's facing arcs a, a' (sides 0 and 1), has
     margin mu.
     """
     z_arc = z[cx.arc_edge]
     mu, d, cycle = _min_mean_cycle(cx.arc_succ, 0.5 * (z_arc + z_arc[cx.arc_succ]))
     _, s = coords.slice_coords(cx, d)
-    return mu, coords.slice_point(cx, z, s), cx.arc_edge[cycle]
+    return mu, coords.slice_point(cx, z, s), cycle
 
 
 def _report(cx: HexComplex, z: np.ndarray, mu: float, t, cycle) -> PolytopeReport:
     boundary_values = coords.boundary_z_sums(cx, z)
     if mu > TAU_FEAS:
+        # a feasible verdict reports no cycle, so the cycle is not walked
         return PolytopeReport(
             feasible=True,
             status="feasible",
@@ -216,13 +224,14 @@ def _report(cx: HexComplex, z: np.ndarray, mu: float, t, cycle) -> PolytopeRepor
             boundary_values=boundary_values,
             witness=coords.x_of(cx, t),
         )
+    edges = cx.arc_edge[cycle()]
     return PolytopeReport(
         feasible=False,
         status="boundary" if mu >= -TAU_FEAS else "infeasible",
         lp_min=mu,
         boundary_values=boundary_values,
-        certificate=np.bincount(cycle, minlength=cx.num_edges) / len(cycle),
-        certificate_cycle=cycle,
+        certificate=np.bincount(edges, minlength=cx.num_edges) / len(edges),
+        certificate_cycle=edges,
     )
 
 
@@ -245,7 +254,7 @@ def interior_point(cx: HexComplex, z) -> np.ndarray:
     InfeasibleCoordinateError (with the feasibility report) when no
     interior point exists."""
     z = coords.edge_array(cx, z)
-    mu, t, y = _margin_lp(cx, z)
+    mu, t, cycle = _margin_lp(cx, z)
     if mu <= TAU_FEAS:
-        raise InfeasibleCoordinateError(_report(cx, z, mu, t, y))
+        raise InfeasibleCoordinateError(_report(cx, z, mu, t, cycle))
     return t

@@ -13,10 +13,13 @@ s_e is ln cosh(y_a/2) - ln cosh(y_b/2).
 The gradient component of hexagon side i is ln cosh(y_i/2), so one
 gradient call holds every seam length too:
 y = 2 ln(1 + u + sqrt(u (2 + u))) with u = e^g - 1, exact to the last
-digit or two.  Each point the solve visits inside the domain (the start
-and every trial point) costs one derivative call, which gives the
-gradient and the Hessian there from the terms they share; the accepted
-trial point's pair is the next step's gradient and Hessian.  The stop
+digit or two.  Each point the solve visits (the start and every trial
+point) has one domain test, `_kernel_sums`: its pair sums, formed
+once, must be above hexgeom.H3_MARGIN.  A point that passes
+costs one derivative call, which takes those sums and gives the
+gradient and the Hessian there from the terms they share; a point
+that fails costs none.  The accepted trial point's pair is the next
+step's gradient and Hessian.  The stop
 test reads the seam lengths and their two-sided mismatch from the
 gradient only at a point whose reduced gradient already passes, and a
 failure report reads them at the point it reports.  The line search
@@ -124,10 +127,28 @@ def domain_margin(cx: HexComplex, t: np.ndarray) -> float:
 
 def energy(cx: HexComplex, t: np.ndarray) -> float:
     """Sum of the hexagon energies; strictly concave, nonnegative."""
-    t = np.asarray(t, dtype=float)
-    if domain_margin(cx, t) <= 0.0:
+    t = np.reshape(np.asarray(t, dtype=float), (cx.n, 3))
+    x = hexgeom.pair_sums(t)
+    if x.min() <= 0.0:
         raise hexgeom.DomainError("t-coordinate outside the open domain")
-    return float(hexgeom.theta(t.reshape(cx.n, 3)).sum())
+    return float(hexgeom.theta(t, x).sum())
+
+
+def _kernel_sums(cx: HexComplex, t: np.ndarray) -> np.ndarray | None:
+    """The hexagons' (n, 3) pair sums of a slice point t, tested as
+    hexgeom.theta_derivatives requires of sums it is given: None when
+    the least is not above hexgeom.H3_MARGIN, and FloatingPointError,
+    as the kernel's own sums raise, when one overflowed."""
+    t = t.reshape(cx.n, 3)
+    x = hexgeom.pair_sums(t)
+    if not x.min() > hexgeom.H3_MARGIN:
+        return None
+    if not x.max() < math.inf:
+        # an infinite entry of a slice point has a -inf partner, which
+        # fails the test above, so t is finite and a sum overflowed
+        with np.errstate(over="raise"):
+            hexgeom.pair_sums(t)
+    return x
 
 
 def _side_lengths(cx: HexComplex, grad: np.ndarray) -> np.ndarray:
@@ -224,11 +245,12 @@ def _newton_solver(cx: HexComplex):
     return cg_step
 
 
-def _slice_start(cx: HexComplex, z, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _slice_start(cx: HexComplex, z, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """z as a finite per-edge array, and the start t (by default the
     max-margin interior point) put exactly onto its slice: z, the point,
-    its free coordinates s and its domain margin.  Raises SolveError when
-    t is off the slice or its margin is not above hexgeom.H3_MARGIN."""
+    its free coordinates s and its (n, 3) pair sums (see _kernel_sums).
+    Raises SolveError when t is off the slice or its pair sums fail
+    _kernel_sums."""
     z = coords.edge_array(cx, z)
     if t is None:
         t = polytope.interior_point(cx, z)
@@ -238,10 +260,10 @@ def _slice_start(cx: HexComplex, z, t) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if not np.all(np.abs(start_z - z) <= 1e-9 + 1e-5 * np.abs(z)):
         raise SolveError("start point does not satisfy the slice equalities")
     t = coords.slice_point(cx, z, s)
-    margin = domain_margin(cx, t)
-    if margin <= hexgeom.H3_MARGIN:
+    x = _kernel_sums(cx, t)
+    if x is None:
         raise SolveError("starting point is not interior")
-    return z, t, s, margin
+    return z, t, s, x
 
 
 def maximize(
@@ -254,14 +276,14 @@ def maximize(
     invariant z.  `start_t` must already lie on the slice; by default
     the max-margin interior point is used."""
     cfg = cfg or SolveConfig()
-    z, t, s, _ = _slice_start(cx, z, start_t)
+    z, t, s, x = _slice_start(cx, z, start_t)
 
     def report(iterations: int, converged: bool, consistency: float) -> SolveReport:
         return SolveReport(iterations, grad_norm, consistency, energy(cx, t), converged, cg_iterations)
 
     # the hexagons' energy gradients and Hessians at t and the reduced
     # gradient, from which the stopping rule and the next step are read
-    grad, hess = hexgeom.theta_derivatives(t.reshape(cx.n, 3))
+    grad, hess = hexgeom.theta_derivatives(t.reshape(cx.n, 3), x)
     g_s = _reduced_gradient(cx, grad)
     newton_step = _newton_solver(cx)
     cg_iterations = 0
@@ -283,9 +305,10 @@ def maximize(
         if slope < 0.0:
             raise SolveError("Newton direction is not an ascent direction")
         # backtrack until the trial point's domain margin is above
-        # hexgeom.H3_MARGIN, so the kernel accepts it, and its trapezoid
-        # estimate of the gain, alpha (phi'(0) + phi'(alpha)) / 2, is at
-        # least _ARMIJO alpha phi'(0), with phi' the slope along the step
+        # hexgeom.H3_MARGIN, so the kernel may take its pair sums, and its
+        # trapezoid estimate of the gain, alpha (phi'(0) + phi'(alpha)) / 2,
+        # is at least _ARMIJO alpha phi'(0), with phi' the slope along the
+        # step
         alpha = 1.0
         while True:
             if alpha < 1e-16:
@@ -295,8 +318,9 @@ def maximize(
                 )
             s_try = s + alpha * step
             t_try = coords.slice_point(cx, z, s_try)
-            if domain_margin(cx, t_try) > hexgeom.H3_MARGIN:
-                grad_try, hess_try = hexgeom.theta_derivatives(t_try.reshape(cx.n, 3))
+            x_try = _kernel_sums(cx, t_try)
+            if x_try is not None:
+                grad_try, hess_try = hexgeom.theta_derivatives(t_try.reshape(cx.n, 3), x_try)
                 g_try = _reduced_gradient(cx, grad_try)
                 if g_try @ step >= -(1.0 - 2.0 * _ARMIJO) * slope:
                     break
@@ -339,11 +363,14 @@ def forward_map(cx: HexComplex, edge_lengths) -> tuple[np.ndarray, np.ndarray, n
         raise ValueError("edge lengths must be strictly positive")
     # each arc's opposite y-side is the edge it faces
     x = hexgeom.cosine_law_x(lengths[cx.arc_edge].reshape(cx.n, 3)).ravel()
-    if not np.all(x > 0.0):  # x_i ~ 2 e^((y_i - y_j - y_k)/2): equal seams above ~1490 underflow
+    try:
+        z = coords.e_invariant(cx, x)
+    except coords.CoordinateError:
+        # e_invariant's one test of x > 0 fails only where x_i ~
+        # 2 e^((y_i - y_j - y_k)/2) underflows: equal seams above ~1490
         h = np.argmin(x > 0.0) // 3
         y = lengths[cx.hex_edges[h]].tolist()
-        raise coords.CoordinateError(f"hexagon {h}: x-arcs underflow to 0 at edge lengths {y}")
-    z = coords.e_invariant(cx, x)
+        raise coords.CoordinateError(f"hexagon {h}: x-arcs underflow to 0 at edge lengths {y}") from None
     return z, coords.boundary_lengths(cx, x), x
 
 
@@ -358,7 +385,8 @@ def perturbed_interior_start(
     multi-start tests: a perturbation of the interior point t0 of the
     slice, by default the max-margin one.  A t0 off the slice or not
     interior raises SolveError, as a start of `maximize` does."""
-    z, _, s0, mu = _slice_start(cx, z, t0)
+    z, _, s0, x0 = _slice_start(cx, z, t0)
+    mu = float(x0.min())
     scale = spread * mu
     while True:
         s = s0 + rng.uniform(-scale, scale, cx.num_edges)

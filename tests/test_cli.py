@@ -111,12 +111,23 @@ def test_solve_non_convergence_exit(tmp_path):
 
 def test_solve_infinite_tol_exits_input(tmp_path, capsys):
     # with tol = inf the start would pass as converged, though on four its
-    # seams disagree by 0.54, and the audit, run at max(tol, 1e-8), would
-    # verify it
+    # seams disagree by 0.54
     z = write_coords(tmp_path, "z.json", dict(zip(
         ["e0", "e1", "e2", "e3", "e4", "e5"], [0.3, 1.7, 0.9, 1.1, 0.6, 1.4])))
     assert run(["solve", str(FOUR_FILE), "--z", z, "--tol", "inf"]) == cli.EXIT_INPUT
     assert "tol must be finite and positive" in capsys.readouterr().err
+
+
+def test_solve_loose_tol_is_audited_at_1e_8(tmp_path, capsys):
+    # --tol 1 stops at the start after 0 iterations, with seams that
+    # disagree by 0.54; the audit keeps its own 1e-8 gate and refuses it
+    z = write_coords(tmp_path, "z.json", dict(zip(
+        ["e0", "e1", "e2", "e3", "e4", "e5"], [0.3, 1.7, 0.9, 1.1, 0.6, 1.4])))
+    assert run(["solve", str(FOUR_FILE), "--z", z, "--tol", "1"]) == cli.EXIT_VERIFY
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] and doc["iterations"] == 0 and not doc["verified"]
+    assert doc["mismatch"] == pytest.approx(0.5417334494576198)
+    assert any("side lengths disagree" in f for f in doc["verification_failures"])
 
 
 def test_solve_non_convergence_emits_the_report(tmp_path, capsys):

@@ -332,21 +332,29 @@ def test_stacked_triples_match_per_row_calls():
         np.testing.assert_array_equal(stacked, [f(r) for r in rows])
 
 
+_BAD_ROWS = [
+    (hexgeom.theta, (5.0, -3.0, -3.0), hexgeom.DomainError),  # outside the closed cone
+    (hexgeom.theta, (np.nan, 1.0, 1.0), hexgeom.DomainError),
+    (hexgeom.theta_grad, (1.0, -1.0, 2.0), hexgeom.DomainError),  # on the face t1 + t2 = 0
+    (hexgeom.theta_grad, (400.0, 400.0, 400.0), hexgeom.DomainError),  # sinh overflows
+    (hexgeom.theta_hessian, (400.0, 400.0, 400.0), hexgeom.DomainError),
+    (hexgeom.theta_hessian, (1.0, np.inf, 1.0), hexgeom.DomainError),
+    (hexgeom.cosine_law_y, (1e308, 1.0, 1.0), FloatingPointError),  # 2x overflows
+    (hexgeom.cosine_law_y, (1.0, 0.0, 1.0), hexgeom.DomainError),
+    (hexgeom.theta, (1.0, np.inf, 1.0), hexgeom.DomainError),
+    (hexgeom.theta, (1e308, 1e308, 1.0), hexgeom.DomainError),  # t1 + t2 overflows
+    (hexgeom.theta, (-1e308, 1e308, 1e308), FloatingPointError),  # t2 + t3 does; T^2 too
+]
+
+
 @pytest.mark.parametrize(
-    "f, row",
-    [
-        (hexgeom.theta, (5.0, -3.0, -3.0)),  # outside the closed cone
-        (hexgeom.theta, (np.nan, 1.0, 1.0)),
-        (hexgeom.theta_grad, (1.0, -1.0, 2.0)),  # on the face t1 + t2 = 0
-        (hexgeom.theta_grad, (400.0, 400.0, 400.0)),  # sinh overflows
-        (hexgeom.theta_hessian, (400.0, 400.0, 400.0)),
-        (hexgeom.theta_hessian, (1.0, np.inf, 1.0)),
-        (hexgeom.cosine_law_y, (1e308, 1.0, 1.0)),  # 2x overflows
-        (hexgeom.cosine_law_y, (1.0, 0.0, 1.0)),
-    ],
+    "f, row, error",
+    _BAD_ROWS,
+    ids=[f"{f.__name__}-row{i}" for i, (f, _, _) in enumerate(_BAD_ROWS)],
 )
-def test_one_bad_row_raises(f, row):
-    # the other rows lie in f's domain, so row 5 is the one that raises
+def test_one_bad_row_raises(f, row, error):
+    # the other rows lie in f's domain, so row 5 is the one that raises,
+    # with the exception type each row has always raised
     if f is hexgeom.cosine_law_y:
         rows = RNG.uniform(0.05, 5.0, (8, 3))
     else:
@@ -354,8 +362,18 @@ def test_one_bad_row_raises(f, row):
     rows[5] = row
     with pytest.raises((hexgeom.DomainError, ArithmeticError)) as exc:
         f(rows)
+    assert exc.type is error
     if exc.type is hexgeom.DomainError:
         assert str(tuple(rows[5].tolist())) in str(exc.value)
+
+
+def test_theta_evaluates_on_the_faces_of_the_closed_cone():
+    # a pair sum of exactly 0 is in theta's domain, though not in its
+    # gradient's; lambda2(0) = 0 there
+    faces = np.array([(1.0, -1.0, 2.0), (0.0, 0.0, 0.0), (3.0, 0.5, -0.5)])
+    values = hexgeom.theta(faces)
+    assert np.all(np.isfinite(values)) and values[1] == 0.0
+    np.testing.assert_array_equal(values, [hexgeom.theta(r) for r in faces])
 
 
 # the theta_grad and theta_hessian rows of test_one_bad_row_raises

@@ -257,6 +257,29 @@ def test_certificate_is_an_edge_cycle(pants):
     _assert_certificate_cycle(cx, np.random.default_rng(5).uniform(-1.0, 1.5, cx.num_edges))
 
 
+def test_certificate_cycle_walked_only_when_reported(monkeypatch):
+    # the walk of the certificate cycle is a Python loop: a feasible
+    # verdict and an interior point do not report a cycle, so they do
+    # not walk it; an infeasible verdict walks it once
+    walks = []
+    min_mean_cycle = polytope._min_mean_cycle
+
+    def counted(*args):
+        mu, d, cycle = min_mean_cycle(*args)
+        return mu, d, lambda: walks.append(1) or cycle()
+
+    monkeypatch.setattr(polytope, "_min_mean_cycle", counted)
+    cx = seeded_complex(32, 20251032)
+    z, _, _ = solver.forward_map(cx, np.random.default_rng(4).uniform(0.3, 3.0, cx.num_edges))
+    assert check_feasibility(cx, z).feasible
+    interior_point(cx, z)
+    solver.maximize(cx, z)
+    assert walks == []
+    rep = check_feasibility(cx, z - 1.5 * check_feasibility(cx, z).lp_min)
+    assert not rep.feasible and len(rep.certificate_cycle) > 0
+    assert walks == [1]
+
+
 def test_non_finite_coordinate_rejected(pants):
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):

@@ -292,6 +292,18 @@ def test_perturbed_start_rejects_a_t0_outside_the_domain(pants):
             call()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_start_with_an_overflowing_pair_sum_raises(pants):
+    # an interior start on the slice whose pair sum 0.95e308 + 0.95e308
+    # overflows: the domain test raises where the sum is formed, as the
+    # kernel's own sums did, rather than pass inf to the kernel, whose
+    # total 1.3e308 does not overflow
+    t0 = np.array([-0.6e308, 0.95e308, 0.95e308, 0.7e308, 0.25e308, 0.25e308])
+    z, _ = coords.slice_coords(pants, t0)
+    with pytest.raises(FloatingPointError, match="overflow encountered in add"):
+        maximize(pants, z, start_t=t0)
+
+
 def test_start_margin_floor_is_the_kernels(pants):
     # a start is interior when its domain margin is above H3_MARGIN, the
     # bound theta_derivatives enforces; on pants with z = 1, s = (l, l, 0)
@@ -588,6 +600,37 @@ def test_kernel_calls_per_solve(monkeypatch):
     assert calls["theta_grad"] == calls["theta_hessian"] == 0
     assert calls["theta_derivatives"] == calls["interior"] > rep.iterations + 1
     assert calls["slice_point"] > calls["interior"]
+
+
+def test_pair_sums_formed_once_per_point(monkeypatch):
+    # each point maximize visits (the start and every trial point, inside
+    # the domain or not) has its pair sums formed once, by the domain
+    # test, and the kernel takes them from there; the report's energy
+    # forms those of its point once more.  From this far start the line
+    # search rejects a trial point for leaving the domain.
+    pair_sums, slice_point = hexgeom.pair_sums, coords.slice_point
+    calls = {"pair_sums": 0, "points": 0, "outside": 0}
+
+    def counted_pair_sums(*args):
+        calls["pair_sums"] += 1
+        return pair_sums(*args)
+
+    def counted_slice_point(*args):
+        t = slice_point(*args)
+        calls["points"] += 1
+        calls["outside"] += pair_sums(t.reshape(-1, 3)).min() <= hexgeom.H3_MARGIN
+        return t
+
+    cx = seeded_complex(2, 7042)
+    rng = np.random.default_rng(42)
+    lengths = np.exp(rng.uniform(0.0, math.log(30.0), cx.num_edges))
+    z, _, _ = forward_map(cx, lengths)
+    t0 = perturbed_interior_start(cx, z, rng, spread=0.95)
+    monkeypatch.setattr(hexgeom, "pair_sums", counted_pair_sums)
+    monkeypatch.setattr(coords, "slice_point", counted_slice_point)
+    _, rep = maximize(cx, z, start_t=t0)
+    assert rep.converged and calls["outside"] > 0
+    assert calls["pair_sums"] == calls["points"] + 1
 
 
 @pytest.mark.parametrize("n", [32, 512])
