@@ -214,6 +214,13 @@ def cmd_polytope(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """argparse type of a count option: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexmetric",
@@ -248,14 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy-profile", help="sample the energy along feasible segments")
     p.add_argument("file")
     p.add_argument("--z", required=True)
-    p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--samples", type=_count, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv-out")
     p.set_defaults(func=cmd_energy_profile)
 
     p = sub.add_parser("polytope", help="list the defining equalities and inequalities")
     p.add_argument("file")
-    p.add_argument("--enumerate-limit", type=int, default=200)
+    p.add_argument("--enumerate-limit", type=_count, default=200)
     p.add_argument("--json-out")
     p.set_defaults(func=cmd_polytope)
 

@@ -6,7 +6,8 @@ HexComplex.  An arc array reshaped to (n, 3) holds one triple per
 hexagon, and every map here is a gather or scatter through the
 complex's incidence arrays.  The slice with invariant z is mapped both
 ways here: `slice_point` takes free coordinates s to a t-coordinate,
-and `slice_coords` takes a t-coordinate back to its (z, s).  No
+and `slice_coords` takes a t-coordinate back to its (z, s).  A
+t-coordinate's x-arcs are hexgeom.pair_sums in arc order.  No
 feasibility decisions are made.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import hexgeom
 from .surface import EdgeCycle, HexComplex
 
 
@@ -65,10 +67,9 @@ def t_of(cx: HexComplex, x: np.ndarray) -> np.ndarray:
 
 
 def x_of(cx: HexComplex, t: np.ndarray) -> np.ndarray:
-    """Inverse of t_of: x(w) = t(w') + t(w''); rejects t with a
-    non-positive pairwise sum."""
-    ts = _as_arc_array(cx, t).reshape(cx.n, 3)
-    x = (ts[:, [1, 2, 0]] + ts[:, [2, 0, 1]]).ravel()
+    """Inverse of t_of: x(w) = t(w') + t(w''), hexgeom.pair_sums put
+    into arc order; rejects t with a non-positive pairwise sum."""
+    x = hexgeom.pair_sums(_as_arc_array(cx, t).reshape(cx.n, 3))[:, [1, 2, 0]].ravel()
     if not np.all(x > 0.0):
         raise CoordinateError("t-coordinate violates pairwise-sum positivity")
     return x

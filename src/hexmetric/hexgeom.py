@@ -32,9 +32,12 @@ Inputs outside the domain (non-finite t included) raise DomainError, as
 does a gradient or Hessian row that underflows to 0; an overflow or a
 division by zero raises FloatingPointError rather than return inf or NaN.
 
-theta and theta_derivatives also take the caller's pair sums
-x = pair_sums(t) next to t, so a point's sums are formed once: theta
-tests a given x as its own, theta_derivatives takes it as tested.
+A hexagon's pair sums have one home here: pair_sums forms them, in the
+order (x_3, x_1, x_2), and interior_sums is the one test of the open
+cone, a least sum above H3_MARGIN and none infinite.  theta and
+theta_derivatives also take the caller's tested sums next to t, so a
+point's sums are formed and tested once: theta takes sums tested for
+the closed cone, theta_derivatives the sums interior_sums returned.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ import numpy as np
 
 Triple = tuple[float, float, float]
 
-# Points with min(t_i + t_j) below this are treated as outside the open
-# domain: the energy gradient diverges there.
+# Points with min(t_i + t_j) not above this are outside the open domain,
+# as interior_sums, its one reader, tests: the energy gradient diverges
+# there.
 H3_MARGIN = 1e-14
 
 _PI2_24 = math.pi ** 2 / 24.0
@@ -169,7 +173,9 @@ def y_of_grad(g):
 
 
 def pair_sums(t):
-    """(t1 + t2, t2 + t3, t3 + t1)."""
+    """(t1 + t2, t2 + t3, t3 + t1), which is (x_3, x_1, x_2) with
+    x_k = t_i + t_j: not arc order (x_1, x_2, x_3), which coords.x_of
+    puts it in."""
     t = np.asarray(t, dtype=float)
     return t + t[..., _J]
 
@@ -178,11 +184,21 @@ def _require_closed_h3(t: np.ndarray) -> None:
     _require(pair_sums(t) >= 0.0, t, "t outside closed H3")
 
 
-def _require_open_h3(t: np.ndarray) -> np.ndarray:
-    """The pair sums of t, once t is checked to be inside the open cone."""
+def interior_sums(t):
+    """pair_sums(t) when t lies in the open cone, else None: the one
+    test of the open domain, which theta_derivatives takes as done for
+    the sums it is given.  The sums are formed once, and t is inside
+    when the least is above H3_MARGIN and none is infinite; a sum of
+    finite entries that overflowed raises FloatingPointError."""
     x = pair_sums(t)
-    _require((x > H3_MARGIN) & np.isfinite(t), t, "t not finite and strictly inside H3")
-    return x
+    if x.min() > H3_MARGIN and x.max() < math.inf:
+        return x
+    if x.min() > H3_MARGIN:
+        # formed again to raise on this cold path only; an infinite
+        # entry of t makes infinite sums without an overflow
+        with np.errstate(over="raise"):
+            pair_sums(t)
+    return None
 
 
 def theta(t, x=None):
@@ -195,17 +211,18 @@ def theta(t, x=None):
     theta_max_on_slice), hence is nonnegative and bounded there.  With a
     sufficiently negative coordinate the value can be negative.
 
-    x, when given, is pair_sums(t) as the caller formed it, tested as
-    theta's own would be.  A row outside the closed cone, or with an
-    entry or total that is not finite, raises DomainError.
+    x, when given, is the caller's pair_sums(t), already tested
+    nonnegative; theta tests only sums it forms itself.  A row outside
+    the closed cone, or with an entry or total that is not finite,
+    raises DomainError.
     """
     t = np.asarray(t, dtype=float)
     # a sum that overflows, or one of infinite entries, is refused below
     with np.errstate(over="ignore", invalid="ignore"):
+        total = t.sum(axis=-1)
         if x is None:
             x = pair_sums(t)
-        total = t.sum(axis=-1)
-    _require(x >= 0.0, t, "t outside closed H3")
+            _require(x >= 0.0, t, "t outside closed H3")
     # in the closed cone a finite total makes t finite; a pair sum that
     # overflowed makes the total at least 9e307, whose square below
     # raises FloatingPointError
@@ -228,12 +245,16 @@ def _derivatives(t, x=None, gradient: bool = True, hessian: bool = True):
     """theta's gradient and Hessian at interior t, either one None when
     not asked for.  Both are built from the same terms: E = e^{-2|u|}
     for u = t_i and u = T, and e^{-a} and 1 - e^{-a} = -expm1(-a) for
-    a = 2x, with x formed and tested here unless the caller gives it
-    (see theta_derivatives)."""
+    a = 2x, with x from interior_sums unless the caller gives it (see
+    theta_derivatives)."""
     t = np.asarray(t, dtype=float)
     g = h = None
     with _raising():
-        a = 2.0 * (_require_open_h3(t) if x is None else x)  # entry i: 2(t_i + t_j)
+        x = interior_sums(t) if x is None else x
+        if x is None:
+            bad = next(row for row in np.reshape(t, (-1, 3)) if interior_sums(row) is None)
+            raise DomainError(f"t not finite and strictly inside H3: {tuple(bad.tolist())}")
+        a = 2.0 * x  # entry i: 2(t_i + t_j)
         total = t.sum(axis=-1)[..., None]  # T > 0 in H3
         e_t, e_total = np.exp(-2.0 * np.abs(t)), np.exp(-2.0 * total)
         e, one_minus_e = np.exp(-a), -np.expm1(-a)
@@ -290,9 +311,9 @@ def theta_derivatives(t, x=None):
     one domain check and the terms the two share; raises as either
     would.
 
-    x, when given, is the caller's pair_sums(t) with every entry
-    already tested finite and above H3_MARGIN (so t is finite too); the
-    kernel then forms and tests no sums of its own."""
+    x, when given, is the caller's interior_sums(t); the kernel then
+    forms and tests no sums of its own.  Without x, a t outside the open
+    cone raises DomainError naming its first such row."""
     return _derivatives(t, x)
 
 

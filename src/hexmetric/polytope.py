@@ -206,11 +206,18 @@ def _margin_lp(cx: HexComplex, z: np.ndarray):
     The witness s(e) = (d(a) - d(a')) / 2, from the
     graph's potentials d at e's facing arcs a, a' (sides 0 and 1), has
     margin mu.
+
+    As in hexgeom, an overflow or invalid operation (|z| near the float
+    limit) raises FloatingPointError, here naming the margin LP.
     """
-    z_arc = z[cx.arc_edge]
-    mu, d, cycle = _min_mean_cycle(cx.arc_succ, 0.5 * (z_arc + z_arc[cx.arc_succ]))
-    _, s = coords.slice_coords(cx, d)
-    return mu, coords.slice_point(cx, z, s), cycle
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            z_arc = z[cx.arc_edge]
+            mu, d, cycle = _min_mean_cycle(cx.arc_succ, 0.5 * (z_arc + z_arc[cx.arc_succ]))
+            _, s = coords.slice_coords(cx, d)
+            return mu, coords.slice_point(cx, z, s), cycle
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"margin LP beyond the float range: {exc}") from None
 
 
 def _report(cx: HexComplex, z: np.ndarray, mu: float, t, cycle) -> PolytopeReport:

@@ -14,11 +14,10 @@ The gradient component of hexagon side i is ln cosh(y_i/2), so one
 gradient call holds every seam length too:
 y = 2 ln(1 + u + sqrt(u (2 + u))) with u = e^g - 1, exact to the last
 digit or two.  Each point the solve visits (the start and every trial
-point) has one domain test, `_kernel_sums`: its pair sums, formed
-once, must be above hexgeom.H3_MARGIN.  A point that passes
-costs one derivative call, which takes those sums and gives the
-gradient and the Hessian there from the terms they share; a point
-that fails costs none.  The accepted trial point's pair is the next
+point) has one domain test, hexgeom.interior_sums, which forms its
+pair sums once.  A point that passes costs one derivative call, which
+takes those sums and gives the gradient and the Hessian there from the
+terms they share; a point that fails costs none.  The accepted trial point's pair is the next
 step's gradient and Hessian.  The stop
 test reads the seam lengths and their two-sided mismatch from the
 gradient only at a point whose reduced gradient already passes, and a
@@ -129,26 +128,10 @@ def energy(cx: HexComplex, t: np.ndarray) -> float:
     """Sum of the hexagon energies; strictly concave, nonnegative."""
     t = np.reshape(np.asarray(t, dtype=float), (cx.n, 3))
     x = hexgeom.pair_sums(t)
-    if x.min() <= 0.0:
+    # the one test of these sums: theta takes them as tested
+    if not x.min() > 0.0:
         raise hexgeom.DomainError("t-coordinate outside the open domain")
     return float(hexgeom.theta(t, x).sum())
-
-
-def _kernel_sums(cx: HexComplex, t: np.ndarray) -> np.ndarray | None:
-    """The hexagons' (n, 3) pair sums of a slice point t, tested as
-    hexgeom.theta_derivatives requires of sums it is given: None when
-    the least is not above hexgeom.H3_MARGIN, and FloatingPointError,
-    as the kernel's own sums raise, when one overflowed."""
-    t = t.reshape(cx.n, 3)
-    x = hexgeom.pair_sums(t)
-    if not x.min() > hexgeom.H3_MARGIN:
-        return None
-    if not x.max() < math.inf:
-        # an infinite entry of a slice point has a -inf partner, which
-        # fails the test above, so t is finite and a sum overflowed
-        with np.errstate(over="raise"):
-            hexgeom.pair_sums(t)
-    return x
 
 
 def _side_lengths(cx: HexComplex, grad: np.ndarray) -> np.ndarray:
@@ -248,9 +231,9 @@ def _newton_solver(cx: HexComplex):
 def _slice_start(cx: HexComplex, z, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """z as a finite per-edge array, and the start t (by default the
     max-margin interior point) put exactly onto its slice: z, the point,
-    its free coordinates s and its (n, 3) pair sums (see _kernel_sums).
-    Raises SolveError when t is off the slice or its pair sums fail
-    _kernel_sums."""
+    its free coordinates s and its (n, 3) pair sums from
+    hexgeom.interior_sums.  Raises SolveError when t is off the slice or
+    outside the open domain."""
     z = coords.edge_array(cx, z)
     if t is None:
         t = polytope.interior_point(cx, z)
@@ -260,7 +243,7 @@ def _slice_start(cx: HexComplex, z, t) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if not np.all(np.abs(start_z - z) <= 1e-9 + 1e-5 * np.abs(z)):
         raise SolveError("start point does not satisfy the slice equalities")
     t = coords.slice_point(cx, z, s)
-    x = _kernel_sums(cx, t)
+    x = hexgeom.interior_sums(t.reshape(cx.n, 3))
     if x is None:
         raise SolveError("starting point is not interior")
     return z, t, s, x
@@ -304,11 +287,10 @@ def maximize(
         slope = float(g_s @ step)
         if slope < 0.0:
             raise SolveError("Newton direction is not an ascent direction")
-        # backtrack until the trial point's domain margin is above
-        # hexgeom.H3_MARGIN, so the kernel may take its pair sums, and its
-        # trapezoid estimate of the gain, alpha (phi'(0) + phi'(alpha)) / 2,
-        # is at least _ARMIJO alpha phi'(0), with phi' the slope along the
-        # step
+        # backtrack until the trial point passes hexgeom.interior_sums, so
+        # the kernel may take its pair sums, and its trapezoid estimate of
+        # the gain, alpha (phi'(0) + phi'(alpha)) / 2, is at least
+        # _ARMIJO alpha phi'(0), with phi' the slope along the step
         alpha = 1.0
         while True:
             if alpha < 1e-16:
@@ -318,7 +300,7 @@ def maximize(
                 )
             s_try = s + alpha * step
             t_try = coords.slice_point(cx, z, s_try)
-            x_try = _kernel_sums(cx, t_try)
+            x_try = hexgeom.interior_sums(t_try.reshape(cx.n, 3))
             if x_try is not None:
                 grad_try, hess_try = hexgeom.theta_derivatives(t_try.reshape(cx.n, 3), x_try)
                 g_try = _reduced_gradient(cx, grad_try)
@@ -391,6 +373,7 @@ def perturbed_interior_start(
     while True:
         s = s0 + rng.uniform(-scale, scale, cx.num_edges)
         t = coords.slice_point(cx, z, s)
-        if domain_margin(cx, t) > max(0.05 * mu, hexgeom.H3_MARGIN):
+        x = hexgeom.interior_sums(t.reshape(cx.n, 3))
+        if x is not None and x.min() > 0.05 * mu:
             return t
         scale *= 0.5

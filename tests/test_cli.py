@@ -289,6 +289,31 @@ def test_numeric_range_errors_exit_input(pants_file, tmp_path, capsys, command, 
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["feasible", "solve"])
+@pytest.mark.parametrize("value", [8e307, 1.7e308])
+def test_margin_lp_beyond_the_float_range_exits_input(pants_file, tmp_path, capsys, command, value):
+    z = write_coords(tmp_path, "z.json", {"e0": value, "e1": value, "e2": value})
+    assert run([command, pants_file, "--z", z]) == cli.EXIT_INPUT
+    assert "margin LP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["polytope", "{pants}", "--enumerate-limit", "-1"],
+        ["energy-profile", "{pants}", "--z", "{z}", "--samples", "-2"],
+    ],
+    ids=["enumerate-limit", "samples"],
+)
+def test_negative_count_exits_input(pants_file, tmp_path, capsys, args):
+    z = write_coords(tmp_path, "z.json", {"e0": 1, "e1": 1, "e2": 1})
+    with pytest.raises(SystemExit) as exit_info:
+        run([a.format(pants=pants_file, z=z) for a in args])
+    assert exit_info.value.code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-negative integer" in captured.err
+
+
 def test_forward_with_long_seams_matches_mpmath(pants_file, tmp_path, capsys):
     # the symmetric pants with seams c has x = acosh(cosh c / (cosh c - 1))
     # on every arc, and z = x; at c = 800 that is about 4e-174

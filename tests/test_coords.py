@@ -6,7 +6,7 @@ import pytest
 from hexmetric import coords
 from hexmetric.coords import CoordinateError
 
-from conftest import random_lengths
+from conftest import random_lengths, seeded_complex
 
 RNG = np.random.default_rng(20240812)
 
@@ -18,6 +18,15 @@ def test_t_x_round_trip(all_fixtures):
             t = coords.t_of(cx, x)
             back = coords.x_of(cx, t)
             assert np.max(np.abs(back - x)) < 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(2, 3), (8, 11), (32, 20241107)])
+def test_x_of_is_each_arcs_pair_sum(n, seed):
+    # the x of arc 3h + i is the sum of the t of its hexagon's other two arcs
+    cx = seeded_complex(n, seed)
+    t = coords.t_of(cx, random_lengths(RNG, cx.num_arcs))
+    explicit = [t[3 * h + (i + 1) % 3] + t[3 * h + (i + 2) % 3] for h in range(n) for i in range(3)]
+    assert coords.x_of(cx, t).tobytes() == np.array(explicit).tobytes()
 
 
 def e_invariant_direct(cx, x):

@@ -1,6 +1,7 @@
 """Single-hexagon laws, energy, derivatives, bounds and blow-up."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -374,6 +375,44 @@ def test_theta_evaluates_on_the_faces_of_the_closed_cone():
     values = hexgeom.theta(faces)
     assert np.all(np.isfinite(values)) and values[1] == 0.0
     np.testing.assert_array_equal(values, [hexgeom.theta(r) for r in faces])
+
+
+def test_interior_sums_are_the_pair_sums_inside_the_cone():
+    ts = np.array([random_t(RNG) for _ in range(200)] + [wide_t(RNG) for _ in range(200)])
+    assert hexgeom.interior_sums(ts).tobytes() == hexgeom.pair_sums(ts).tobytes()
+    for t in ts[:20]:
+        assert hexgeom.interior_sums(t).tobytes() == hexgeom.pair_sums(t).tobytes()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [(hexgeom.H3_MARGIN, 0.0, 1.0), (1.0, np.inf, 1.0), (np.nan, 1.0, 1.0), (1.0, -1.0, 2.0)],
+    ids=["margin", "inf", "nan", "face"],
+)
+def test_interior_sums_refuse_a_row_outside_the_open_cone(row):
+    # the least sum of (H3_MARGIN, 0, 1) is H3_MARGIN exactly, not above it
+    rows = np.array([random_t(RNG) for _ in range(8)])
+    rows[5] = row
+    assert hexgeom.interior_sums(row) is None
+    assert hexgeom.interior_sums(rows) is None
+    # the kernel's own DomainError names that row
+    with pytest.raises(hexgeom.DomainError, match=re.escape(f"strictly inside H3: {row}")):
+        hexgeom.theta_derivatives(rows)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_interior_sums_raise_on_finite_entries_that_overflow():
+    rows = np.array([random_t(RNG) for _ in range(8)])
+    rows[3] = (1e308, 1e308, 1.0)
+    with pytest.raises(FloatingPointError, match="overflow encountered in add"):
+        hexgeom.interior_sums(rows)
+
+
+def test_theta_takes_the_callers_sums_as_its_own():
+    ts = np.array([random_t(RNG) for _ in range(200)])
+    faces = np.array([(1.0, -1.0, 2.0), (0.0, 0.0, 0.0), (3.0, 0.5, -0.5), (-2.0, 2.0, 2.0)])
+    for t in (ts, faces, *faces):
+        assert hexgeom.theta(t, hexgeom.pair_sums(t)).tobytes() == hexgeom.theta(t).tobytes()
 
 
 # the theta_grad and theta_hessian rows of test_one_bad_row_raises

@@ -286,6 +286,16 @@ def test_non_finite_coordinate_rejected(pants):
             check_feasibility(pants, np.array([bad, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("value", [8e307, 1.7e308])
+def test_margin_lp_beyond_the_float_range_raises(pants, value):
+    # the arc weights (z_a + z_b) / 2 overflow; 1e307 stays in range
+    z = np.full(3, value)
+    for call in (check_feasibility, polytope.interior_point):
+        with pytest.raises(ArithmeticError, match="margin LP"):
+            call(pants, z)
+    assert check_feasibility(pants, np.full(3, 1e307)).feasible
+
+
 def test_two_classes_raise_lp_error():
     # nodes 0 <-> 1 form a cycle of mean 1 and nodes 2 <-> 3 one of mean
     # 3; node 0 may step into {2, 3}, but nothing leaves it, so the final
