@@ -6,16 +6,17 @@ min { z . y : y in D, sum y = 1 } > 0 over the cone
 
     D = { y >= 0 : y_i + y_j >= y_k for each 2-cell's edge triple },
 
-which is the test implemented here, together with the construction of a
-max-margin interior starting point for the energy maximizer.  Both come
-from one LP, the max-margin LP over the slice, whose dual is the cone
-LP above.  Each of its rows has two unit-coefficient variables, so its
-optimum is the minimum cycle mean of a graph on the x-arcs whose cycles
-are the closed edge cycles; the complex holds its steps
-(``HexComplex.arc_succ``), and each LP computes only their weights.
+which is the test implemented here, together with an interior starting
+point for the energy maximizer.  Both come from one LP, the max-margin
+LP over the slice, whose dual is the cone LP above.  Each of its rows
+has two unit-coefficient variables, so its optimum is the minimum cycle
+mean of a graph on the x-arcs whose cycles are the closed edge cycles;
+the complex holds its steps (``HexComplex.arc_succ``), and each LP
+computes only their weights.
 Howard's policy iteration, vectorised over the arcs, gives that mean
 together with a minimizing edge cycle (the infeasibility certificate)
-and potentials (the max-margin witness).
+and potentials (the max-margin witness).  The start moves that witness
+toward the symmetric split of z, as far as keeps half its margin.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coords
+from . import coords, hexgeom
 from .surface import HexComplex
 
 TAU_FEAS = 1e-9
@@ -255,13 +256,33 @@ def check_feasibility(cx: HexComplex, z) -> PolytopeReport:
     return _report(cx, z, *_margin_lp(cx, z))
 
 
+# share of the max-margin point's margin that interior_point keeps.  On
+# 40 seeded n = 32 complexes (lengths U[0.3, 3]) Newton took 4.90 steps
+# on average from this start, 4.90, 4.75, 4.97 and 5.30 with shares 0.3,
+# 0.4, 0.6 and 0.75, and 6.30 from the max-margin point itself
+_START_MARGIN_SHARE = 0.5
+
+
 def interior_point(cx: HexComplex, z) -> np.ndarray:
-    """A t-coordinate in the open slice with invariant z: the max-margin
-    point of the facing-pair parametrization.  Raises
-    InfeasibleCoordinateError (with the feasibility report) when no
-    interior point exists."""
+    """A t-coordinate in the open slice with invariant z, the default
+    start of the energy maximizer: the max-margin point t_m, of margin
+    mu, moved toward the symmetric split t_0 (s = 0, both facing t's of
+    an edge z/2) by the largest beta <= 1 that keeps every pair sum at
+    least mu / 2.  The maximizer lies much nearer t_0 than t_m, but t_0
+    is often outside the domain or barely inside it; from the point
+    between, Newton starts with a smaller energy gap and takes fewer
+    damped steps.  Raises InfeasibleCoordinateError (with the
+    feasibility report) when no interior point exists."""
     z = coords.edge_array(cx, z)
     mu, t, cycle = _margin_lp(cx, z)
     if mu <= TAU_FEAS:
         raise InfeasibleCoordinateError(_report(cx, z, mu, t, cycle))
-    return t
+    floor = _START_MARGIN_SHARE * mu
+    t0 = coords.slice_point(cx, z, np.zeros(cx.num_edges))
+    x_m = hexgeom.pair_sums(t.reshape(cx.n, 3))
+    x_0 = hexgeom.pair_sums(t0.reshape(cx.n, 3))
+    # the pair sums are affine along the segment, so only a sum that ends
+    # below the floor stops it, at a beta below 1
+    low = x_0 < floor
+    beta = np.min((x_m[low] - floor) / (x_m[low] - x_0[low]), initial=1.0)
+    return (1.0 - beta) * t + beta * t0

@@ -229,14 +229,17 @@ def _newton_solver(cx: HexComplex):
 
 
 def _slice_start(cx: HexComplex, z, t) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """z as a finite per-edge array, and the start t (by default the
-    max-margin interior point) put exactly onto its slice: z, the point,
+    """z as a finite per-edge array, and the start t (by default
+    polytope.interior_point) put exactly onto its slice: z, the point,
     its free coordinates s and its (n, 3) pair sums from
     hexgeom.interior_sums.  Raises SolveError when t is off the slice or
     outside the open domain."""
-    z = coords.edge_array(cx, z)
     if t is None:
+        # interior_point checks z with coords.edge_array, so once is enough
         t = polytope.interior_point(cx, z)
+        z = np.asarray(z, dtype=float)
+    else:
+        z = coords.edge_array(cx, z)
     start_z, s = coords.slice_coords(cx, t)
     # the test of np.allclose(start_z, z, atol=1e-9), which a NaN fails,
     # without its ~25 us of overhead (4% of maximize at n = 32, 2-vCPU Xeon)
@@ -257,7 +260,8 @@ def maximize(
 ) -> tuple[np.ndarray, SolveReport]:
     """Newton ascent to the unique energy maximizer on the slice with
     invariant z.  `start_t` must already lie on the slice; by default
-    the max-margin interior point is used."""
+    Newton starts at polytope.interior_point, the LP's max-margin point
+    moved toward the symmetric split of z."""
     cfg = cfg or SolveConfig()
     z, t, s, x = _slice_start(cx, z, start_t)
 
@@ -365,8 +369,9 @@ def perturbed_interior_start(
 ) -> np.ndarray:
     """A random start on the slice that `maximize` accepts, for
     multi-start tests: a perturbation of the interior point t0 of the
-    slice, by default the max-margin one.  A t0 off the slice or not
-    interior raises SolveError, as a start of `maximize` does."""
+    slice, by default polytope.interior_point, the start of `maximize`.
+    A t0 off the slice or not interior raises SolveError, as a start of
+    `maximize` does."""
     z, _, s0, x0 = _slice_start(cx, z, t0)
     mu = float(x0.min())
     scale = spread * mu

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,54 @@ def test_interior_point_posts(all_fixtures):
             x = coords.x_of(cx, t)
             z_back = coords.e_invariant(cx, x)
             assert np.max(np.abs(z_back - z)) < 1e-10
+
+
+def _interior_point_cases(all_fixtures):
+    rng = np.random.default_rng(20261026)
+    for cx in all_fixtures.values():
+        for _ in range(25):
+            yield cx, rng.uniform(0.2, 2.0, cx.num_edges)
+    for n in (8, 32, 512):
+        cx = seeded_complex(n, 20261126 + n)
+        yield cx, solver.forward_map(cx, np.random.default_rng(n).uniform(0.3, 3.0, cx.num_edges))[0]
+
+
+def test_interior_point_keeps_half_the_margin(all_fixtures):
+    # the start is the max-margin point moved toward the symmetric split
+    # t0 = z/2 on each arc: all the way when t0 keeps half the LP margin,
+    # otherwise until the least pair sum meets that floor
+    splits = moved = 0
+    for cx, z in _interior_point_cases(all_fixtures):
+        rep = check_feasibility(cx, z)
+        if not rep.feasible:
+            continue
+        t = interior_point(cx, z)
+        t0 = 0.5 * z[cx.arc_edge]
+        floor = 0.5 * rep.lp_min
+        rounding = 1e-14 * np.abs(t).max()
+        assert solver.domain_margin(cx, t) >= floor - rounding
+        assert np.max(np.abs(coords.slice_coords(cx, t)[0] - z)) < 1e-12
+        if solver.domain_margin(cx, t0) >= floor:
+            splits += 1
+            np.testing.assert_array_equal(t, t0)
+        else:
+            moved += 1
+            assert solver.domain_margin(cx, t) == pytest.approx(floor, abs=rounding)
+    assert splits > 0 and moved > 0
+
+
+def test_interior_point_near_the_float_limit(pants):
+    # pants' start is the symmetric split; the seeded complex's is moved
+    # toward it, and neither overflows nor divides by zero
+    cx = seeded_complex(32, 20261158)
+    z, _, _ = solver.forward_map(cx, np.random.default_rng(1).uniform(0.3, 3.0, cx.num_edges))
+    z *= 1e306
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(interior_point(pants, np.full(3, 1e307)), np.full(6, 5e306))
+        t = interior_point(cx, z)
+    assert np.all(np.isfinite(t))
+    assert solver.domain_margin(cx, t) > 0.49 * check_feasibility(cx, z).lp_min
 
 
 def test_interior_point_infeasible_raises(pants):

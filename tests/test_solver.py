@@ -209,7 +209,7 @@ def test_infeasible_z_raises(pants):
 
 
 def test_non_convergence_reported(four, monkeypatch):
-    # on pants every z's max-margin start is already the maximizer; on
+    # on pants every z's default start is already the maximizer; on
     # four this one takes several Newton steps
     cfg = SolveConfig(max_iter=1, tol=1e-14)
     z = np.array([0.3, 1.7, 0.9, 1.1, 0.6, 1.4])
@@ -252,10 +252,10 @@ def test_line_search_stall_reported(four, monkeypatch):
     assert report.iterations == 1
     assert report.grad_norm == np.max(np.abs(solver._reduced_gradient(four, grad)))
     assert report.consistency == np.max(np.abs(sides[:, 0] - sides[:, 1]))
-    assert report.consistency == 0.5417334494576198
+    assert report.consistency == 0.4389509827302449
     # the message gives the reported point's domain margin
     assert f"domain margin {solver.domain_margin(four, t):.3e}" in str(exc.value)
-    assert "domain margin 8.0" in str(exc.value)
+    assert "domain margin 4.5" in str(exc.value)
 
 
 def test_singular_newton_system_is_a_solve_error(four, monkeypatch):
@@ -566,6 +566,36 @@ def test_wide_range_instances_converge(k, lo, hi):
     assert np.max(np.abs(extract_metric(cx, t).edge_lengths - lengths)) < 1e-12
 
 
+def test_default_start_saves_newton_steps():
+    # maximize(cx, z) starts at polytope.interior_point, which lies
+    # nearer the maximizer than the LP witness it is moved from
+    steps = {"default": 0, "witness": 0}
+    for k in range(20):
+        cx = seeded_complex(32, 20261026 + k)
+        lengths = np.random.default_rng([k, 26]).uniform(0.3, 3.0, cx.num_edges)
+        z, _, _ = forward_map(cx, lengths)
+        witness = coords.t_of(cx, polytope.check_feasibility(cx, z).witness)
+        steps["default"] += maximize(cx, z)[1].iterations
+        steps["witness"] += maximize(cx, z, start_t=witness)[1].iterations
+    assert steps["default"] < steps["witness"]
+
+
+def test_default_start_checks_z_once(four, monkeypatch):
+    # without a start, z is checked by interior_point alone, and a bad z
+    # raises as it does with a start
+    calls = []
+    edge_array = coords.edge_array
+    monkeypatch.setattr(coords, "edge_array", lambda *args: calls.append(1) or edge_array(*args))
+    z = np.array([0.3, 1.7, 0.9, 1.1, 0.6, 1.4])
+    maximize(four, z)
+    assert len(calls) == 1
+    start = polytope.interior_point(four, z)
+    for bad, message in [(z[:5], "expected 6 edge values"), (np.where(z > 1, np.nan, z), "must be finite")]:
+        for start_t in (None, start):
+            with pytest.raises(coords.CoordinateError, match=message):
+                maximize(four, bad, start_t=start_t)
+
+
 def test_kernel_calls_per_solve(monkeypatch):
     # one derivative call per interior point the solve visits (the start
     # and the trial points inside the domain), no separate gradient or
@@ -591,7 +621,10 @@ def test_kernel_calls_per_solve(monkeypatch):
     rng = np.random.default_rng(42)
     lengths = np.exp(rng.uniform(0.0, math.log(30.0), cx.num_edges))
     z, _, _ = forward_map(cx, lengths)
-    t0 = perturbed_interior_start(cx, z, rng, spread=0.95)
+    # perturbed around the LP witness, which lies farther out than the
+    # default start
+    witness = coords.t_of(cx, polytope.check_feasibility(cx, z).witness)
+    t0 = perturbed_interior_start(cx, z, rng, spread=0.95, t0=witness)
     for name in names:
         counted(hexgeom, name)
     counted(coords, "slice_point")
@@ -625,7 +658,10 @@ def test_pair_sums_formed_once_per_point(monkeypatch):
     rng = np.random.default_rng(42)
     lengths = np.exp(rng.uniform(0.0, math.log(30.0), cx.num_edges))
     z, _, _ = forward_map(cx, lengths)
-    t0 = perturbed_interior_start(cx, z, rng, spread=0.95)
+    # perturbed around the LP witness, which lies farther out than the
+    # default start
+    witness = coords.t_of(cx, polytope.check_feasibility(cx, z).witness)
+    t0 = perturbed_interior_start(cx, z, rng, spread=0.95, t0=witness)
     monkeypatch.setattr(hexgeom, "pair_sums", counted_pair_sums)
     monkeypatch.setattr(coords, "slice_point", counted_slice_point)
     _, rep = maximize(cx, z, start_t=t0)
