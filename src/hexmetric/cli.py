@@ -62,7 +62,7 @@ def _load_edge_values(path: str, cx: surface.HexComplex) -> np.ndarray:
     seen = set()
     for key, v in data.items():
         e = index.get(key)
-        if e is None and key.isdigit() and int(key) < cx.num_edges:
+        if e is None and key.isdecimal() and int(key) < cx.num_edges:
             e = int(key)
         if e is None:
             raise InputError(f"unknown edge key {key!r}")

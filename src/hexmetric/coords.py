@@ -67,12 +67,13 @@ def t_of(cx: HexComplex, x: np.ndarray) -> np.ndarray:
 
 
 def x_of(cx: HexComplex, t: np.ndarray) -> np.ndarray:
-    """Inverse of t_of: x(w) = t(w') + t(w''), hexgeom.pair_sums put
-    into arc order; rejects t with a non-positive pairwise sum."""
-    x = hexgeom.pair_sums(_as_arc_array(cx, t).reshape(cx.n, 3))[:, [1, 2, 0]].ravel()
-    if not np.all(x > 0.0):
+    """Inverse of t_of: x(w) = t(w') + t(w''), hexgeom.interior_sums
+    put into arc order; rejects t outside the open cone, as that test
+    does."""
+    x = hexgeom.interior_sums(_as_arc_array(cx, t).reshape(cx.n, 3))
+    if x is None:
         raise CoordinateError("t-coordinate violates pairwise-sum positivity")
-    return x
+    return x[:, [1, 2, 0]].ravel()
 
 
 def e_invariant(cx: HexComplex, x: np.ndarray) -> np.ndarray:

@@ -34,24 +34,21 @@ division by zero raises FloatingPointError rather than return inf or NaN.
 
 A hexagon's pair sums have one home here: pair_sums forms them, in the
 order (x_3, x_1, x_2), and interior_sums is the one test of the open
-cone, a least sum above H3_MARGIN and none infinite.  theta and
-theta_derivatives also take the caller's tested sums next to t, so a
-point's sums are formed and tested once: theta takes sums tested for
-the closed cone, theta_derivatives the sums interior_sums returned.
+cone, exactly where the kernel is finite: every sum at least the least
+normal float and none infinite.  theta and theta_derivatives also take
+the caller's tested sums next to t, so a point's sums are formed and
+tested once: theta takes sums tested for the closed cone,
+theta_derivatives the sums interior_sums returned.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 Triple = tuple[float, float, float]
-
-# Points with min(t_i + t_j) not above this are outside the open domain,
-# as interior_sums, its one reader, tests: the energy gradient diverges
-# there.
-H3_MARGIN = 1e-14
 
 _PI2_24 = math.pi ** 2 / 24.0
 _PI2_12 = math.pi ** 2 / 12.0
@@ -188,12 +185,14 @@ def interior_sums(t):
     """pair_sums(t) when t lies in the open cone, else None: the one
     test of the open domain, which theta_derivatives takes as done for
     the sums it is given.  The sums are formed once, and t is inside
-    when the least is above H3_MARGIN and none is infinite; a sum of
-    finite entries that overflowed raises FloatingPointError."""
+    when every sum is at least the least normal float and none is
+    infinite, which is exactly where the kernel is finite: q(x) ~ 1/(2x)
+    overflows only at subnormal x.  A sum of finite entries that
+    overflowed raises FloatingPointError."""
     x = pair_sums(t)
-    if x.min() > H3_MARGIN and x.max() < math.inf:
+    if x.min() >= sys.float_info.min and x.max() < math.inf:
         return x
-    if x.min() > H3_MARGIN:
+    if x.min() >= sys.float_info.min:
         # formed again to raise on this cold path only; an infinite
         # entry of t makes infinite sums without an overflow
         with np.errstate(over="raise"):
@@ -241,14 +240,14 @@ _THETA_SIGN = np.array([1.0] * 4 + [-1.0] * 3)
 _THETA_CONST = np.array([_PI2_24] * 4 + [-_PI2_12] * 3)
 
 
-def _derivatives(t, x=None, gradient: bool = True, hessian: bool = True):
-    """theta's gradient and Hessian at interior t, either one None when
+def _derivatives(t, x=None, hessian: bool = True):
+    """theta's gradient and Hessian at interior t, the Hessian None when
     not asked for.  Both are built from the same terms: E = e^{-2|u|}
     for u = t_i and u = T, and e^{-a} and 1 - e^{-a} = -expm1(-a) for
     a = 2x, with x from interior_sums unless the caller gives it (see
     theta_derivatives)."""
     t = np.asarray(t, dtype=float)
-    g = h = None
+    h = None
     with _raising():
         x = interior_sums(t) if x is None else x
         if x is None:
@@ -258,12 +257,10 @@ def _derivatives(t, x=None, gradient: bool = True, hessian: bool = True):
         total = t.sum(axis=-1)[..., None]  # T > 0 in H3
         e_t, e_total = np.exp(-2.0 * np.abs(t)), np.exp(-2.0 * total)
         e, one_minus_e = np.exp(-a), -np.expm1(-a)
-        if gradient:
-            g = _gradient_terms(t, a, e_t, e_total, e, one_minus_e)
+        g = _gradient_terms(t, a, e_t, e_total, e, one_minus_e)
         if hessian:
             h = _hessian_terms(t, e_t, e_total, e, one_minus_e)
-    if gradient:
-        _require(g > 0.0, t, "theta gradient underflows to 0")
+    _require(g > 0.0, t, "theta gradient underflows to 0")
     if hessian:
         _require(h[..., _I, _I] < 0.0, t, "theta Hessian underflows to 0")
     return g, h
@@ -302,8 +299,9 @@ def theta_hessian(t):
     """Hessian of theta at an interior point, shape (..., 3, 3), in the
     form -[p(T) 11^T + diag p(t) + sum_k q(x_k) (e_i + e_j)(e_i + e_j)^T]
     (tanh = 1 - 2p, coth = 1 + 2q); -H is strictly diagonally dominant, as
-    p(t_i) > p(T).  A row whose diagonal underflows to 0 raises DomainError."""
-    return _derivatives(t, gradient=False)[1]
+    p(t_i) > p(T).  A row whose gradient or diagonal underflows to 0
+    raises DomainError."""
+    return _derivatives(t)[1]
 
 
 def theta_derivatives(t, x=None):

@@ -91,10 +91,11 @@ def verify_metric(cx: HexComplex, metric: HyperbolicMetric, tol: float = 1e-8) -
     hex_x = np.reshape(metric.x_arcs, (cx.n, 3))
     # the cosine law refuses a triple outside the domain and overflows
     # from 1e300 on: such a triple fails its hexagon, and (1, 1, 1) is
-    # walked in its place
+    # walked in its place, so every triple is positive and finite and
+    # the law's unchecked form applies
     valid = np.all((hex_x > 0.0) & (hex_x < 1e300), axis=1)
     x = np.where(valid[:, None], hex_x, 1.0)
-    y = hexgeom.cosine_law_y(x)
+    y = hexgeom._cosine_law(x)
     closure = closure_residuals(x, y)
     for h in np.flatnonzero(~(valid & (closure <= tol))):
         failures.append(f"hexagon {h}: realization residual above {tol:g}")

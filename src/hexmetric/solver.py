@@ -127,9 +127,9 @@ def domain_margin(cx: HexComplex, t: np.ndarray) -> float:
 def energy(cx: HexComplex, t: np.ndarray) -> float:
     """Sum of the hexagon energies; strictly concave, nonnegative."""
     t = np.reshape(np.asarray(t, dtype=float), (cx.n, 3))
-    x = hexgeom.pair_sums(t)
     # the one test of these sums: theta takes them as tested
-    if not x.min() > 0.0:
+    x = hexgeom.interior_sums(t)
+    if x is None:
         raise hexgeom.DomainError("t-coordinate outside the open domain")
     return float(hexgeom.theta(t, x).sum())
 

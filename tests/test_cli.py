@@ -276,6 +276,54 @@ def test_integer_edge_keys_accepted(pants_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "z_val, message",
+    [
+        ({"e0": 1, "e1": 1, "x": 1}, "unknown edge key 'x'"),
+        ({"e0": 1, "e1": 1, "3": 1}, "unknown edge key '3'"),
+        # a digit that is not a decimal one, which int() refuses
+        ({"e0": 1, "e1": 1, "\u00b2": 1}, "unknown edge key '\u00b2'"),
+        # a label and its index alias name the same edge
+        ({"e0": 1, "0": 1, "e1": 1, "e2": 1}, "duplicate edge key '0'"),
+    ],
+    ids=["label", "index", "superscript", "alias"],
+)
+def test_bad_edge_key_exits_input(pants_file, tmp_path, capsys, z_val, message):
+    z = write_coords(tmp_path, "z.json", z_val)
+    assert run(["feasible", pants_file, "--z", z]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unreadable_files_exit_input(pants_file, tmp_path, capsys):
+    z = write_coords(tmp_path, "z.json", {"e0": 1, "e1": 1, "e2": 1})
+    assert run(["feasible", str(tmp_path / "missing.json"), "--z", z]) == cli.EXIT_INPUT
+    assert "cannot read triangulation file" in capsys.readouterr().err
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"e0": 1,')
+    assert run(["feasible", pants_file, "--z", str(bad_json)]) == cli.EXIT_INPUT
+    assert "cannot read coordinate file" in capsys.readouterr().err
+    listed = write_coords(tmp_path, "list.json", [1, 1, 1])
+    assert run(["feasible", pants_file, "--z", listed]) == cli.EXIT_INPUT
+    assert "coordinate file must be a JSON object" in capsys.readouterr().err
+
+
+def test_energy_profile_infeasible_exit(pants_file, tmp_path, capsys):
+    z = write_coords(tmp_path, "z.json", {"e0": -1, "e1": 1, "e2": 1})
+    assert run(["energy-profile", pants_file, "--z", z]) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "infeasible coordinate\n"
+
+
+def test_polytope_refuses_an_exponential_enumeration(tmp_path, capsys):
+    # ten hexagons in a ring, each also glued to the one opposite: 15
+    # edges, and 3^15 weight vectors, above the enumeration's 2e6 cap
+    ring = [{"a": [h, 1], "b": [(h + 1) % 10, 3]} for h in range(10)]
+    across = [{"a": [h, 5], "b": [h + 5, 5]} for h in range(5)]
+    cx_file = write_coords(tmp_path, "ring.json", {"hexagons": 10, "gluings": ring + across})
+    assert run(["validate", cx_file]) == 0
+    assert run(["polytope", cx_file]) == cli.EXIT_INPUT
+    assert "cycle enumeration is exponential" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, key, value",
     [
         ("forward", "--lengths", 1e308),  # FloatingPointError: 2x overflows in the cosine law
@@ -361,6 +409,7 @@ def _with_first_gluing(**update):
         ({"gluings": 5}, 1.0, "'gluings'"),
         ({"labels": 5}, 1.0, "'labels'"),
         ({"labels": [1, 2, 3]}, 1.0, "'labels'"),
+        ({"labels": ["a", "b"]}, 1.0, "label list length differs from edge count"),
         ({"hexagons": "abc"}, 1.0, "'hexagons'"),
         ({"hexagons": 2.7}, 1.0, "'hexagons'"),
         ({"hexagons": True}, 1.0, "'hexagons'"),
@@ -376,6 +425,7 @@ def _with_first_gluing(**update):
         "gluings-not-list",
         "labels-not-list",
         "labels-not-str",
+        "labels-length",
         "hexagons-str",
         "hexagons-fraction",
         "hexagons-bool",

@@ -97,3 +97,14 @@ def test_input_validation(pants):
         coords.x_of(pants, np.array([1.0, 1.0, 1.0, 5.0, -3.0, -3.0]))
     with pytest.raises(CoordinateError):
         coords.boundary_z_sums(pants, np.ones(2))
+
+
+def test_x_of_refuses_what_interior_sums_refuses(pants):
+    # an infinite entry makes infinite x-arcs, outside the open cone; so
+    # does a positive subnormal pair sum, where the kernel overflows
+    for t in ([1.0, np.inf, 1.0, 1.0, 1.0, 1.0], [1e-310, 0.0, 1.0, 1.0, 1.0, 1.0]):
+        with pytest.raises(CoordinateError, match="pairwise-sum positivity"):
+            coords.x_of(pants, np.array(t))
+    # a sum of finite entries that overflows raises, as in the domain test
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="overflow"):
+        coords.x_of(pants, np.array([1e308, 1e308, 1.0, 1.0, 1.0, 1.0]))

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def wide_t(rng):
     while True:
         t = 10.0 ** rng.uniform(-6.0, math.log10(300.0), 3)
         t[rng.random(3) < 0.2] *= -1.0
-        if min(hexgeom.pair_sums(t)) > hexgeom.H3_MARGIN:
+        if hexgeom.interior_sums(t) is not None:
             return t
 
 
@@ -386,11 +387,12 @@ def test_interior_sums_are_the_pair_sums_inside_the_cone():
 
 @pytest.mark.parametrize(
     "row",
-    [(hexgeom.H3_MARGIN, 0.0, 1.0), (1.0, np.inf, 1.0), (np.nan, 1.0, 1.0), (1.0, -1.0, 2.0)],
+    [(1e-310, 0.0, 1.0), (1.0, np.inf, 1.0), (np.nan, 1.0, 1.0), (1.0, -1.0, 2.0)],
     ids=["margin", "inf", "nan", "face"],
 )
 def test_interior_sums_refuse_a_row_outside_the_open_cone(row):
-    # the least sum of (H3_MARGIN, 0, 1) is H3_MARGIN exactly, not above it
+    # the least sum of (1e-310, 0, 1) is positive but subnormal, where
+    # the kernel's q(x) ~ 1/(2x) overflows
     rows = np.array([random_t(RNG) for _ in range(8)])
     rows[5] = row
     assert hexgeom.interior_sums(row) is None
@@ -398,6 +400,19 @@ def test_interior_sums_refuse_a_row_outside_the_open_cone(row):
     # the kernel's own DomainError names that row
     with pytest.raises(hexgeom.DomainError, match=re.escape(f"strictly inside H3: {row}")):
         hexgeom.theta_derivatives(rows)
+
+
+def test_interior_sums_take_the_least_normal_float():
+    # the open cone ends exactly where the kernel stops being finite: a
+    # least pair sum of sys.float_info.min is inside, the float below not
+    tiny = sys.float_info.min
+    rows = np.array([random_t(RNG) for _ in range(8)])
+    rows[5] = (tiny, 0.0, 1.0)
+    assert hexgeom.interior_sums(rows).min() == tiny
+    g, h = hexgeom.theta_derivatives(rows)
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(h))
+    rows[5] = (np.nextafter(tiny, 0.0), 0.0, 1.0)
+    assert hexgeom.interior_sums(rows) is None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -156,14 +156,16 @@ def test_verify_metric_fails_hexagon_with_perturbed_law_y(four, monkeypatch):
     t, _ = solver.maximize(four, z)
     metric = solver.extract_metric(four, t)
     assert verify_metric(four, metric).ok
-    law = hexgeom.cosine_law_y
+    # the audit's law: its triples are already tested, so it calls the
+    # cosine law's unchecked form
+    law = hexgeom._cosine_law
 
     def perturbed(x):
         y = law(x)
         y[2] *= 1.0 + 1e-7
         return y
 
-    monkeypatch.setattr(realize.hexgeom, "cosine_law_y", perturbed)
+    monkeypatch.setattr(realize.hexgeom, "_cosine_law", perturbed)
     report = verify_metric(four, metric)
     assert [f for f in report.failures if f.startswith("hexagon")] == [
         "hexagon 2: realization residual above 1e-08"

@@ -98,6 +98,22 @@ def test_energy_is_sum_of_hexagon_energies(pants):
     assert v == pytest.approx(manual, abs=1e-14)
 
 
+def test_extract_metric_refuses_an_unconverged_point(pants):
+    # a perturbed start is not the maximizer: its two sides of an edge
+    # disagree
+    t = perturbed_interior_start(pants, np.ones(3), np.random.default_rng(0))
+    with pytest.raises(SolveError, match="per-edge length mismatch .* maximizer not converged"):
+        extract_metric(pants, t)
+
+
+@pytest.mark.parametrize("t", [[1.0, np.inf, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 5.0, -3.0, -3.0]])
+def test_energy_refuses_a_point_outside_the_open_cone(pants, t):
+    # the domain test is hexgeom.interior_sums: an infinite entry makes
+    # infinite pair sums, outside the cone as a negative one is
+    with pytest.raises(hexgeom.DomainError, match="outside the open domain"):
+        solver.energy(pants, np.array(t))
+
+
 def test_symmetric_pants_closed_form(pants):
     z = np.full(3, ACOSH2)
     t, rep = maximize(pants, z)
@@ -305,24 +321,29 @@ def test_start_with_an_overflowing_pair_sum_raises(pants):
 
 
 def test_start_margin_floor_is_the_kernels(pants):
-    # a start is interior when its domain margin is above H3_MARGIN, the
-    # bound theta_derivatives enforces; on pants with z = 1, s = (l, l, 0)
-    # puts two pair sums at 1 - 2 l
+    # a start is interior when every pair sum is at least the least
+    # normal float, exactly where theta_derivatives is finite; on pants
+    # with z = c, s = (l, l, 0) puts two pair sums at c - 2 l
     z = np.ones(3)
     rng = np.random.default_rng(5)
-    for margin in (1e-12, 1e-13, 2e-14):
+    for margin in (1e-12, 1e-13, 2e-14, 5e-15):
         lam = 0.5 - margin / 2
         t0 = coords.slice_point(pants, z, np.array([lam, lam, 0.0]))
-        assert hexgeom.H3_MARGIN < solver.domain_margin(pants, t0) < 1.01 * margin
+        assert 0.0 < solver.domain_margin(pants, t0) < 1.01 * margin
         assert maximize(pants, z, start_t=t0)[1].converged
         for _ in range(20):
             t = perturbed_interior_start(pants, z, rng, t0=t0)
-            assert solver.domain_margin(pants, t) > hexgeom.H3_MARGIN
+            assert hexgeom.interior_sums(t.reshape(pants.n, 3)) is not None
             hexgeom.theta_derivatives(t.reshape(pants.n, 3))
-    lam = 0.5 - 5e-15 / 2
-    t0 = coords.slice_point(pants, z, np.array([lam, lam, 0.0]))
-    with pytest.raises(SolveError, match="not interior"):
-        maximize(pants, z, start_t=t0)
+    # a least sum of 0, and a positive subnormal one, are refused
+    for c, lam, least in ((1.0, 0.5, 0.0), (1e-300, 0.5e-300 - 0.5e-310, 1e-310)):
+        z = np.full(3, c)
+        t0 = coords.slice_point(pants, z, np.array([lam, lam, 0.0]))
+        assert solver.domain_margin(pants, t0) == pytest.approx(least, rel=0.01)
+        with pytest.raises(SolveError, match="not interior"):
+            maximize(pants, z, start_t=t0)
+        with pytest.raises(SolveError, match="not interior"):
+            perturbed_interior_start(pants, z, rng, t0=t0)
 
 
 def test_forward_map_validation(pants):
@@ -612,7 +633,7 @@ def test_kernel_calls_per_solve(monkeypatch):
             out = f(*args)
             calls[name] += 1
             if name == "slice_point":
-                calls["interior"] += solver.domain_margin(args[0], out) > hexgeom.H3_MARGIN
+                calls["interior"] += hexgeom.interior_sums(out.reshape(-1, 3)) is not None
             return out
 
         monkeypatch.setattr(module, name, wrapper)
@@ -642,17 +663,16 @@ def test_pair_sums_formed_once_per_point(monkeypatch):
     # forms those of its point once more.  From this far start the line
     # search rejects a trial point for leaving the domain.
     pair_sums, slice_point = hexgeom.pair_sums, coords.slice_point
-    calls = {"pair_sums": 0, "points": 0, "outside": 0}
+    calls = {"pair_sums": 0}
+    points = []
 
     def counted_pair_sums(*args):
         calls["pair_sums"] += 1
         return pair_sums(*args)
 
     def counted_slice_point(*args):
-        t = slice_point(*args)
-        calls["points"] += 1
-        calls["outside"] += pair_sums(t.reshape(-1, 3)).min() <= hexgeom.H3_MARGIN
-        return t
+        points.append(slice_point(*args))
+        return points[-1]
 
     cx = seeded_complex(2, 7042)
     rng = np.random.default_rng(42)
@@ -665,8 +685,11 @@ def test_pair_sums_formed_once_per_point(monkeypatch):
     monkeypatch.setattr(hexgeom, "pair_sums", counted_pair_sums)
     monkeypatch.setattr(coords, "slice_point", counted_slice_point)
     _, rep = maximize(cx, z, start_t=t0)
-    assert rep.converged and calls["outside"] > 0
-    assert calls["pair_sums"] == calls["points"] + 1
+    formed = calls["pair_sums"]
+    # read after the count: the domain test forms the sums of each point
+    outside = sum(hexgeom.interior_sums(t.reshape(-1, 3)) is None for t in points)
+    assert rep.converged and outside > 0
+    assert formed == len(points) + 1
 
 
 @pytest.mark.parametrize("n", [32, 512])
