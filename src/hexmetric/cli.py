@@ -9,6 +9,12 @@ File formats:
 * coordinate file (JSON): {edge label: number, ...}; used both for
   per-edge coordinates (z) and for edge lengths.
 
+The output documents are shaped here too, the verdict of `feasible`
+(also the report of `solve`'s infeasible error) included: every
+per-edge map is keyed by edge label, every per-boundary map by b0,
+b1, ...  JSON and the energy-profile CSV go to stdout or to the file
+given, through one writer.
+
 Exit codes: 0 success, 2 input/validation error (including inputs
 beyond the numeric range), 3 infeasible, 4 non-convergence or LP
 failure, 5 verification failure.
@@ -35,21 +41,20 @@ class InputError(ValueError):
     pass
 
 
-def _load_complex(path: str) -> surface.HexComplex:
+def _read_json(path: str, kind: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read triangulation file {path}: {exc}") from exc
-    return surface.build(doc)
+        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def _load_complex(path: str) -> surface.HexComplex:
+    return surface.build(_read_json(path, "triangulation"))
 
 
 def _load_edge_values(path: str, cx: surface.HexComplex) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read coordinate file {path}: {exc}") from exc
+    data = _read_json(path, "coordinate")
     if not isinstance(data, dict):
         raise InputError("coordinate file must be a JSON object of edge: value")
     # accept a solve/forward output document directly
@@ -73,7 +78,10 @@ def _load_edge_values(path: str, cx: surface.HexComplex) -> np.ndarray:
         # numeric or not
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise InputError(f"edge key {key!r}: {v!r} is not a number")
-        values[e] = v
+        try:
+            values[e] = v
+        except OverflowError:
+            raise InputError(f"edge key {key!r}: integer beyond the float range") from None
     missing = [label for e, label in enumerate(cx.labels) if e not in seen]
     if missing:
         raise InputError(f"missing edge keys: {', '.join(missing)}")
@@ -84,13 +92,36 @@ def _edge_map(cx: surface.HexComplex, values) -> dict[str, float]:
     return {cx.labels[e]: float(values[e]) for e in range(cx.num_edges)}
 
 
-def _emit(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2)
+def _boundary_map(values) -> dict[str, float]:
+    return {f"b{i}": float(v) for i, v in enumerate(values)}
+
+
+def _verdict_doc(cx: surface.HexComplex, report: polytope.PolytopeReport) -> dict:
+    doc = {
+        "feasible": report.feasible,
+        "status": report.status,
+        "lp_min": report.lp_min,
+        "boundary_values": _boundary_map(report.boundary_values),
+    }
+    if report.certificate is not None:
+        doc["certificate"] = _edge_map(cx, report.certificate)
+    if report.certificate_cycle is not None:
+        doc["certificate_cycle"] = [cx.labels[e] for e in report.certificate_cycle]
+    if report.witness is not None:
+        doc["witness_x_arcs"] = [float(v) for v in report.witness]
+    return doc
+
+
+def _write(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(doc: dict, path: str | None) -> None:
+    _write(json.dumps(doc, indent=2), path)
 
 
 def cmd_validate(args) -> int:
@@ -111,7 +142,7 @@ def cmd_feasible(args) -> int:
     cx = _load_complex(args.file)
     z = _load_edge_values(args.z, cx)
     report = polytope.check_feasibility(cx, z)
-    _emit(report.to_json_dict(cx), args.json_out)
+    _emit(_verdict_doc(cx, report), args.json_out)
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
@@ -123,7 +154,7 @@ def cmd_solve(args) -> int:
         t_star, rep = solver.maximize(cx, z, cfg)
         metric = solver.extract_metric(cx, t_star, cfg)
     except polytope.InfeasibleCoordinateError as exc:
-        _emit({"error": "infeasible", "report": exc.report.to_json_dict(cx)}, args.json_out)
+        _emit({"error": "infeasible", "report": _verdict_doc(cx, exc.report)}, args.json_out)
         return EXIT_INFEASIBLE
     except solver.SolveError as exc:
         doc = {"error": "no convergence", "detail": str(exc)}
@@ -137,7 +168,7 @@ def cmd_solve(args) -> int:
     verification = realize.verify_metric(cx, metric)
     doc = {
         "edge_lengths": _edge_map(cx, metric.edge_lengths),
-        "boundary_lengths": {f"b{i}": float(v) for i, v in enumerate(metric.boundary_lengths)},
+        "boundary_lengths": _boundary_map(metric.boundary_lengths),
         "x_arcs": [float(v) for v in metric.x_arcs],
         "achieved_z": _edge_map(cx, metric.z),
         "mismatch": metric.mismatch,
@@ -161,7 +192,7 @@ def cmd_forward(args) -> int:
     z, bl, x = solver.forward_map(cx, lengths)
     doc = {
         "z": _edge_map(cx, z),
-        "boundary_lengths": {f"b{i}": float(v) for i, v in enumerate(bl)},
+        "boundary_lengths": _boundary_map(bl),
         "x_arcs": [float(v) for v in x],
     }
     _emit(doc, args.json_out)
@@ -183,12 +214,7 @@ def cmd_energy_profile(args) -> int:
         for s in np.linspace(0.0, 1.0, 21):
             t = (1.0 - s) * t0 + s * t1
             rows.append(f"{seg},{s:.17g},{solver.energy(cx, t):.17g}")
-    text = "\n".join(rows)
-    if args.csv_out:
-        with open(args.csv_out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(rows), args.csv_out)
     return EXIT_OK
 
 

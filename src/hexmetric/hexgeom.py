@@ -115,33 +115,31 @@ def _closed_form(a, sign, const):
         return 0.5 * a * a - a * _LN2 + 0.5 * spence(1.0 + sign * np.exp(-2.0 * a)) + const
 
 
-def _check_positive(v: np.ndarray, name: str) -> None:
-    _require((v > 0.0) & np.isfinite(v), v, f"{name} must be strictly positive and finite")
-
-
 def _c(u):
     return np.log1p(np.exp(-2.0 * np.abs(u)))
 
 
-def cosine_law_y(x):
-    """y-side lengths from x-side lengths by the cosine law
-    cosh y_i = (cosh x_i + cosh x_j cosh x_k) / (sinh x_j sinh x_k).
+def cosine_law(v):
+    """The cosine law, in either direction: y-side lengths from x-side
+    lengths, cosh y_i = (cosh x_i + cosh x_j cosh x_k) / (sinh x_j sinh x_k),
+    and x-sides from y-sides, the same law with the colours swapped.
 
     As cosh x_j cosh x_k - sinh x_j sinh x_k = cosh(x_j - x_k), the log
     of 2 sinh^2(y_i/2) = cosh y_i - 1 is a log-sum in which, with c and
     d of the module docstring, the terms linear in x cancel exactly:
     sinh(y_i/2) = e^h with 2h = d(x_j) + d(x_k) + logaddexp(x_i - x_j - x_k
     + c(x_i), c(x_j - x_k) - 2 min(x_j, x_k)).  Nothing cancels or
-    overflows, so the law is total and accurate from subnormal x up to
-    about 9e307, where 2x overflows and FloatingPointError is raised.
+    overflows, so the law is total and accurate from subnormal sides up
+    to about 9e307, where 2x overflows and FloatingPointError is raised.
+    A triple with a side not positive and finite raises DomainError.
     """
-    x = np.asarray(x, dtype=float)
-    _check_positive(x, "x")
-    return _cosine_law(x)
+    v = np.asarray(v, dtype=float)
+    _require((v > 0.0) & np.isfinite(v), v, "side lengths must be strictly positive and finite")
+    return _cosine_law(v)
 
 
 def _cosine_law(x):
-    # cosine_law_y at x already checked positive and finite
+    # cosine_law at sides already checked positive and finite
     with _raising():
         xj, xk = x[..., _J], x[..., _K]
         d = -np.log(-np.expm1(-2.0 * x))
@@ -149,14 +147,6 @@ def _cosine_law(x):
         h = 0.5 * (d[..., _J] + d[..., _K] + lse)
         # y = 2 asinh(e^h), which is 2h + 2 ln 2 to within an ulp from h = 20
         return np.where(h > 20.0, 2.0 * (h + _LN2), 2.0 * np.arcsinh(np.exp(np.minimum(h, 20.0))))
-
-
-def cosine_law_x(y):
-    """Inverse law, x-side lengths from y-side lengths: the same law
-    with the colors swapped, total on positive triples."""
-    y = np.asarray(y, dtype=float)
-    _check_positive(y, "y")
-    return _cosine_law(y)
 
 
 def y_of_grad(g):
@@ -175,10 +165,6 @@ def pair_sums(t):
     puts it in."""
     t = np.asarray(t, dtype=float)
     return t + t[..., _J]
-
-
-def _require_closed_h3(t: np.ndarray) -> None:
-    _require(pair_sums(t) >= 0.0, t, "t outside closed H3")
 
 
 def interior_sums(t):
@@ -350,7 +336,7 @@ def path_integral(points: list[Triple], segments: int) -> float:
 def theta_by_path_integral(t: Triple, segments: int) -> float:
     """theta(t) as a line integral from the origin; independent of the
     closed-form evaluation, used as its oracle."""
-    _require_closed_h3(t)
+    _require(pair_sums(t) >= 0.0, t, "t outside closed H3")
     if all(v == 0.0 for v in t):
         return 0.0
     return path_integral([(0.0, 0.0, 0.0), t], segments)

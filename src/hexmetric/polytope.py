@@ -28,6 +28,8 @@ import numpy as np
 from . import coords, hexgeom
 from .surface import HexComplex
 
+# absolute band of the verdict: an LP minimum in [-TAU_FEAS, TAU_FEAS] is
+# 'boundary'; the acceptance tests bound a certificate's z.y by it too
 TAU_FEAS = 1e-9
 
 
@@ -56,25 +58,6 @@ class PolytopeReport:
     # edges of a closed edge cycle of least mean z (at most TAU_FEAS), in
     # crossing order; certificate is their multiplicities over its length
     certificate_cycle: np.ndarray | None = None
-
-    def to_json_dict(self, cx: HexComplex) -> dict:
-        d = {
-            "feasible": self.feasible,
-            "status": self.status,
-            "lp_min": self.lp_min,
-            "boundary_values": {
-                f"b{i}": float(v) for i, v in enumerate(self.boundary_values)
-            },
-        }
-        if self.certificate is not None:
-            d["certificate"] = {
-                cx.labels[e]: float(v) for e, v in enumerate(self.certificate)
-            }
-        if self.certificate_cycle is not None:
-            d["certificate_cycle"] = [cx.labels[e] for e in self.certificate_cycle]
-        if self.witness is not None:
-            d["witness_x_arcs"] = [float(v) for v in self.witness]
-        return d
 
 
 def cone_inequalities(cx: HexComplex) -> np.ndarray:

@@ -109,8 +109,11 @@ class HyperbolicMetric:
 _CG_RTOL = 1e-12
 
 # most edges at which a Newton step is a dense solve rather than CG: the
-# measured crossover of np.linalg.solve and _pcg per step (one BLAS thread)
-_DIRECT_MAX_EDGES = 192
+# largest edge count at which a dense maximize was no slower than CG,
+# measured from interior_point on seeded complexes, one BLAS thread
+# (mean over 20 of the best of 7: 0.95 against 0.97 ms at 99 edges,
+# 1.00 against 0.98 ms at 102 and 2.4 against 1.2 ms at 192)
+_DIRECT_MAX_EDGES = 99
 
 
 class SolveError(RuntimeError):
@@ -345,10 +348,9 @@ def forward_map(cx: HexComplex, edge_lengths) -> tuple[np.ndarray, np.ndarray, n
     The returned z always satisfies the polytope conditions.
     """
     lengths = coords.edge_array(cx, edge_lengths)
-    if np.any(lengths <= 0.0):
-        raise ValueError("edge lengths must be strictly positive")
-    # each arc's opposite y-side is the edge it faces
-    x = hexgeom.cosine_law_x(lengths[cx.arc_edge].reshape(cx.n, 3)).ravel()
+    # each arc's opposite y-side is the edge it faces; the law refuses a
+    # length that is not positive
+    x = hexgeom.cosine_law(lengths[cx.arc_edge].reshape(cx.n, 3)).ravel()
     try:
         z = coords.e_invariant(cx, x)
     except coords.CoordinateError:

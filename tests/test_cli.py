@@ -76,6 +76,67 @@ def test_feasible_exit_codes(pants_file, tmp_path, capsys):
     assert doc["feasible"] is False and "certificate" in doc
 
 
+# the whole verdict document of pants, as text: Howard's iteration and the
+# witness take only additions and minima, so no digit depends on the
+# platform's libm
+_VERDICT_WITNESS = """\
+{
+  "feasible": true,
+  "status": "feasible",
+  "lp_min": 1.3169578969248166,
+  "boundary_values": {
+    "b0": 2.633915793849633,
+    "b1": 2.633915793849633,
+    "b2": 2.633915793849633
+  },
+  "witness_x_arcs": [
+    1.3169578969248166,
+    1.3169578969248166,
+    1.3169578969248166,
+    1.3169578969248166,
+    1.3169578969248166,
+    1.3169578969248166
+  ]
+}
+"""
+
+_VERDICT_CERTIFICATE = """\
+{
+  "feasible": false,
+  "status": "boundary",
+  "lp_min": 0.0,
+  "boundary_values": {
+    "b0": 0.0,
+    "b1": 0.0,
+    "b2": 2.0
+  },
+  "certificate": {
+    "e0": 0.5,
+    "e1": 0.5,
+    "e2": 0.0
+  },
+  "certificate_cycle": [
+    "e1",
+    "e0"
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "z_val, code, text",
+    [
+        ((ACOSH2, ACOSH2, ACOSH2), cli.EXIT_OK, _VERDICT_WITNESS),
+        ((-1, 1, 1), cli.EXIT_INFEASIBLE, _VERDICT_CERTIFICATE),
+    ],
+    ids=["witness", "certificate"],
+)
+def test_verdict_document(pants_file, tmp_path, capsys, z_val, code, text):
+    z = write_coords(tmp_path, "z.json", dict(zip(["e0", "e1", "e2"], z_val)))
+    assert run(["feasible", pants_file, "--z", z]) == code
+    assert capsys.readouterr() == (text, "")
+
+
 def test_missing_edge_key(pants_file, tmp_path, capsys):
     partial = write_coords(tmp_path, "partial.json", {"e0": 1, "e1": 1})
     assert run(["feasible", pants_file, "--z", partial]) == cli.EXIT_INPUT
@@ -178,9 +239,12 @@ def test_forward_symmetric(pants_file, tmp_path, capsys):
         assert v == pytest.approx(2.0 * ACOSH2, abs=1e-10)
 
 
-def test_forward_rejects_negative_length(pants_file, tmp_path):
+def test_forward_rejects_negative_length(pants_file, tmp_path, capsys):
     lengths = write_coords(tmp_path, "l.json", {"e0": -1, "e1": 1, "e2": 1})
     assert run(["forward", pants_file, "--lengths", lengths]) == cli.EXIT_INPUT
+    # the cosine law's own test, naming the first hexagon's sides
+    err = capsys.readouterr().err
+    assert err == "error: side lengths must be strictly positive and finite: (1.0, 1.0, -1.0)\n"
 
 
 def test_energy_profile_concave(pants_file, tmp_path, capsys):
@@ -406,6 +470,8 @@ def _with_first_gluing(**update):
         ({}, {}, "'e1'"),
         ({}, True, "'e1': True is not a number"),
         ({}, "1.2", "'e1': '1.2' is not a number"),
+        # json reads it as an exact int, which no float holds
+        ({}, 10**400, "edge key 'e1': integer beyond the float range"),
         ({"gluings": 5}, 1.0, "'gluings'"),
         ({"labels": 5}, 1.0, "'labels'"),
         ({"labels": [1, 2, 3]}, 1.0, "'labels'"),
@@ -422,6 +488,7 @@ def _with_first_gluing(**update):
         "object-value",
         "bool-value",
         "str-value",
+        "int-beyond-float",
         "gluings-not-list",
         "labels-not-list",
         "labels-not-str",

@@ -30,7 +30,7 @@ positive_triple = st.tuples(
 def test_cosine_law_frozen_value():
     # frozen from quadrature-independent evaluation of
     # arccosh((cosh 1 + cosh^2 1)/sinh^2 1)
-    y = hexgeom.cosine_law_y((1.0, 1.0, 1.0))
+    y = hexgeom.cosine_law((1.0, 1.0, 1.0))
     assert y[0] == y[1] == y[2]
     assert y[0] == pytest.approx(1.7049128323580138, abs=1e-12)
 
@@ -38,22 +38,22 @@ def test_cosine_law_frozen_value():
 def test_symmetric_fixed_point():
     # arccosh 2 is the unique length with y = x in the symmetric hexagon
     u = math.acosh(2.0)
-    y = hexgeom.cosine_law_y((u, u, u))
+    y = hexgeom.cosine_law((u, u, u))
     assert max(abs(v - u) for v in y) < 1e-12
 
 
 @given(positive_triple)
 @settings(max_examples=300, deadline=None)
 def test_cosine_law_round_trip(x):
-    y = hexgeom.cosine_law_y(x)
-    back = hexgeom.cosine_law_x(y)
+    y = hexgeom.cosine_law(x)
+    back = hexgeom.cosine_law(y)
     assert max(abs(a - b) for a, b in zip(back, x)) < 1e-9 * (1.0 + max(x))
 
 
 @given(positive_triple)
 @settings(max_examples=300, deadline=None)
 def test_sine_law(x):
-    y = hexgeom.cosine_law_y(x)
+    y = hexgeom.cosine_law(x)
     ratios = [math.sinh(x[i]) / math.sinh(y[i]) for i in range(3)]
     assert max(ratios) - min(ratios) < 1e-12 * max(ratios)
 
@@ -70,22 +70,20 @@ def _cosine_law_mp(v):
         return [float(mpmath.acosh((c[i] + c[j] * c[k]) / (s[j] * s[k]))) for i, (j, k) in enumerate(pairs)]
 
 
-@pytest.mark.parametrize("law", [hexgeom.cosine_law_y, hexgeom.cosine_law_x])
-def test_cosine_law_matches_mpmath(law):
+def test_cosine_law_matches_mpmath():
     # log-uniform triples over ten and a half decades, whose opposite
     # sides run from about 1e-217 up to about 38
     v = np.exp(np.random.default_rng(20261019).uniform(math.log(1e-8), math.log(500.0), (300, 3)))
     exact = np.array([_cosine_law_mp(row) for row in v])
-    assert np.max(np.abs(law(v) / exact - 1.0)) <= 1e-12
-    assert law((50.0, 50.0, 50.0)) == pytest.approx([2.7775887729928041e-11] * 3, rel=1e-14)
+    assert np.max(np.abs(hexgeom.cosine_law(v) / exact - 1.0)) <= 1e-12
+    assert hexgeom.cosine_law((50.0, 50.0, 50.0)) == pytest.approx([2.7775887729928041e-11] * 3, rel=1e-14)
 
 
 @given(st.tuples(*(st.floats(min_value=5e-324, max_value=1e300) for _ in range(3))))
 @settings(max_examples=300, deadline=None)
 def test_cosine_law_is_total(v):
-    for law in (hexgeom.cosine_law_y, hexgeom.cosine_law_x):
-        out = law(v)
-        assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+    out = hexgeom.cosine_law(v)
+    assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
 
 
 def test_theta_frozen_values():
@@ -152,7 +150,7 @@ def test_grad_components_are_lncosh_half_y():
     for _ in range(200):
         t = random_t(RNG, low=0.05)
         g = hexgeom.theta_grad(t)
-        y = hexgeom.cosine_law_y([sum(t) - ti for ti in t])  # x_i = t_j + t_k
+        y = hexgeom.cosine_law([sum(t) - ti for ti in t])  # x_i = t_j + t_k
         for i in range(3):
             assert g[i] == pytest.approx(math.log(math.cosh(y[i] / 2.0)), abs=1e-12)
             assert g[i] > 0.0
@@ -313,7 +311,7 @@ def test_slice_bounds():
 
 def test_domain_errors():
     with pytest.raises(hexgeom.DomainError):
-        hexgeom.cosine_law_y((1.0, -1.0, 1.0))
+        hexgeom.cosine_law((1.0, -1.0, 1.0))
     with pytest.raises(hexgeom.DomainError):
         hexgeom.theta_grad((1.0, -1.0, 2.0))  # on the closed face t1+t2=0
     with pytest.raises(hexgeom.DomainError):
@@ -327,7 +325,7 @@ def test_stacked_triples_match_per_row_calls():
         (hexgeom.theta, ts),
         (hexgeom.theta_grad, ts),
         (hexgeom.theta_hessian, ts),
-        (hexgeom.cosine_law_y, xs),
+        (hexgeom.cosine_law, xs),
     ):
         stacked = f(rows)
         assert stacked.shape == (40,) + np.shape(f(rows[0]))
@@ -341,8 +339,8 @@ _BAD_ROWS = [
     (hexgeom.theta_grad, (400.0, 400.0, 400.0), hexgeom.DomainError),  # sinh overflows
     (hexgeom.theta_hessian, (400.0, 400.0, 400.0), hexgeom.DomainError),
     (hexgeom.theta_hessian, (1.0, np.inf, 1.0), hexgeom.DomainError),
-    (hexgeom.cosine_law_y, (1e308, 1.0, 1.0), FloatingPointError),  # 2x overflows
-    (hexgeom.cosine_law_y, (1.0, 0.0, 1.0), hexgeom.DomainError),
+    (hexgeom.cosine_law, (1e308, 1.0, 1.0), FloatingPointError),  # 2x overflows
+    (hexgeom.cosine_law, (1.0, 0.0, 1.0), hexgeom.DomainError),
     (hexgeom.theta, (1.0, np.inf, 1.0), hexgeom.DomainError),
     (hexgeom.theta, (1e308, 1e308, 1.0), hexgeom.DomainError),  # t1 + t2 overflows
     (hexgeom.theta, (-1e308, 1e308, 1e308), FloatingPointError),  # t2 + t3 does; T^2 too
@@ -357,7 +355,7 @@ _BAD_ROWS = [
 def test_one_bad_row_raises(f, row, error):
     # the other rows lie in f's domain, so row 5 is the one that raises,
     # with the exception type each row has always raised
-    if f is hexgeom.cosine_law_y:
+    if f is hexgeom.cosine_law:
         rows = RNG.uniform(0.05, 5.0, (8, 3))
     else:
         rows = np.array([random_t(RNG) for _ in range(8)])

@@ -169,14 +169,6 @@ def test_boundedness_of_feasible_region_slice(pants):
             assert x[w] < bz[i] + 1e-9
 
 
-def test_report_json(pants):
-    rep = check_feasibility(pants, np.array([1.0, 1.0, 1.0]))
-    d = rep.to_json_dict(pants)
-    assert d["feasible"] is True
-    assert set(d["boundary_values"]) == {"b0", "b1", "b2"}
-    assert len(d["witness_x_arcs"]) == 6
-
-
 def test_large_complex_witness_and_certificate():
     cx = seeded_complex(256, 20240901)
     rng = np.random.default_rng(7)

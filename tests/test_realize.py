@@ -17,7 +17,7 @@ RNG = np.random.default_rng(20240815)
 def law_closure(x):
     """Closure residuals of x-triples walked with the cosine law's y-sides."""
     x = np.asarray(x, dtype=float)
-    return closure_residuals(x, hexgeom.cosine_law_y(x))
+    return closure_residuals(x, hexgeom.cosine_law(x))
 
 
 def test_realization_matches_cosine_law_random_triples():
@@ -98,7 +98,7 @@ def test_stacked_walk_matches_single_hexagons():
         ]
     )
     rows = np.vstack([fixed, np.exp(RNG.uniform(math.log(0.1), math.log(4.0), (60, 3)))])
-    y = hexgeom.cosine_law_y(rows)
+    y = hexgeom.cosine_law(rows)
     ring = np.stack([rows[:, 0], y[:, 2], rows[:, 1], y[:, 0], rows[:, 2], y[:, 1]], axis=1)
     assert set(np.argmax(ring[: len(fixed)], axis=1)) == set(range(6))
     stacked = closure_residuals(rows, y)
@@ -142,7 +142,7 @@ def test_closure_matches_mpmath_walk():
     with mpmath.workdps(50):
         worst = max(_mp_closure(row) for row in x)
     assert worst < mpmath.mpf("1e-40"), worst
-    y = hexgeom.cosine_law_y(x)
+    y = hexgeom.cosine_law(x)
     short = x.sum(axis=1) + y.sum(axis=1) < 60.0
     assert short.sum() > 150
     assert closure_residuals(x, y)[short].max() < 1e-8

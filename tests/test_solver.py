@@ -512,10 +512,10 @@ def test_cg_step_near_the_maximizer(pants, torus, four):
 
 
 # Seeded complexes on both sides of the dense-solve cut-off: a closed
-# complex of n hexagons has 3n/2 edges, so 128 hexagons (192 edges) is
-# the largest one solved dense and 130 (195 edges) is solved by CG.
-N_AT_CUTOFF = 128
-N_ABOVE_CUTOFF = 130
+# complex of n hexagons has 3n/2 edges, so 66 hexagons (99 edges) is
+# the largest one solved dense and 68 (102 edges) is solved by CG.
+N_AT_CUTOFF = 66
+N_ABOVE_CUTOFF = 68
 
 
 def test_report_counts_cg_iterations(all_fixtures):
@@ -712,7 +712,7 @@ def test_cg_matrix_reused_across_steps():
     # Hessians through it equal, to the bit, CG on a new matrix for each.
     # The complex has a self-glued hexagon, whose duplicate slots the
     # bincount sums, so a stale entry would show.
-    cx = seeded_complex(N_ABOVE_CUTOFF, 20261022)
+    cx = seeded_complex(N_ABOVE_CUTOFF, 20261024)
     assert cx.num_edges > solver._DIRECT_MAX_EDGES
     assert any(a[0] == b[0] for a, b, _ in cx.gluings)
     newton_step = solver._newton_solver(cx)
