@@ -70,10 +70,14 @@ def _cosine_law_mp(v):
         return [float(mpmath.acosh((c[i] + c[j] * c[k]) / (s[j] * s[k]))) for i, (j, k) in enumerate(pairs)]
 
 
-def test_cosine_law_matches_mpmath():
-    # log-uniform triples over ten and a half decades, whose opposite
-    # sides run from about 1e-217 up to about 38
+# the law in its two roles: x-sides from log-uniform y-sides over ten and
+# a half decades (forward_map's use), whose x-sides run from about 1e-217
+# up to about 38, and y-sides from those x-sides (realize's use)
+@pytest.mark.parametrize("role", ["cosine_law_x", "cosine_law_y"])
+def test_cosine_law_matches_mpmath(role):
     v = np.exp(np.random.default_rng(20261019).uniform(math.log(1e-8), math.log(500.0), (300, 3)))
+    if role == "cosine_law_y":
+        v = hexgeom.cosine_law(v)
     exact = np.array([_cosine_law_mp(row) for row in v])
     assert np.max(np.abs(hexgeom.cosine_law(v) / exact - 1.0)) <= 1e-12
     assert hexgeom.cosine_law((50.0, 50.0, 50.0)) == pytest.approx([2.7775887729928041e-11] * 3, rel=1e-14)

@@ -533,7 +533,9 @@ def test_report_counts_cg_iterations(all_fixtures):
     assert rep.iterations <= rep.cg_iterations <= rep.iterations * 10 * cx.num_edges
 
 
-@pytest.mark.parametrize("n", [N_AT_CUTOFF, N_ABOVE_CUTOFF])
+# 128 and 130 hexagons (192 and 195 edges) straddle the former cut-off of
+# 192 edges: both now solve by CG
+@pytest.mark.parametrize("n", [N_AT_CUTOFF, N_ABOVE_CUTOFF, 128, 130])
 def test_round_trip_on_both_sides_of_the_dense_cutoff(n):
     cx = seeded_complex(n, 20261018 + n)
     assert (cx.num_edges <= solver._DIRECT_MAX_EDGES) == (n == N_AT_CUTOFF)
