@@ -60,8 +60,8 @@ def slice_coords(cx: HexComplex, t) -> tuple[np.ndarray, np.ndarray]:
 def t_of(cx: HexComplex, x: np.ndarray) -> np.ndarray:
     """t(w) = (x(w') + x(w'') - x(w)) / 2 within each 2-cell."""
     x = _as_arc_array(cx, x)
-    if not np.all(x > 0.0):
-        raise CoordinateError("length structure must be strictly positive")
+    if not np.all((x > 0.0) & (x < np.inf)):
+        raise CoordinateError("length structure must be positive and finite")
     xs = x.reshape(cx.n, 3)
     return (0.5 * (xs.sum(axis=1, keepdims=True) - 2.0 * xs)).ravel()
 

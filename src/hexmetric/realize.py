@@ -103,7 +103,7 @@ def verify_metric(cx: HexComplex, metric: HyperbolicMetric, tol: float = 1e-8) -
     # 3h + i is opposite y-side i of hexagon h
     sides = y.ravel()[cx.edge_arcs]
     err = np.abs(sides[:, 0] - sides[:, 1])
-    mean_err = np.max(np.abs(sides - metric.edge_lengths[:, None]), axis=1)
+    mean_err = np.max(np.abs(sides - np.asarray(metric.edge_lengths, dtype=float)[:, None]), axis=1)
     max_edge = float(np.maximum(err.max(), mean_err.max()))
     checks = (("side lengths disagree by", err), ("side lengths off the edge length by", mean_err))
     for e in np.flatnonzero(~((err <= tol) & (mean_err <= tol))):

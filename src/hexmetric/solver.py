@@ -124,12 +124,12 @@ class SolveError(RuntimeError):
 
 def domain_margin(cx: HexComplex, t: np.ndarray) -> float:
     """Smallest pairwise t-sum over all 2-cells."""
-    return float(np.min(hexgeom.pair_sums(np.reshape(t, (cx.n, 3)))))
+    return float(np.min(hexgeom.pair_sums(coords._as_arc_array(cx, t).reshape(cx.n, 3))))
 
 
 def energy(cx: HexComplex, t: np.ndarray) -> float:
     """Sum of the hexagon energies; strictly concave, nonnegative."""
-    t = np.reshape(np.asarray(t, dtype=float), (cx.n, 3))
+    t = coords._as_arc_array(cx, t).reshape(cx.n, 3)
     # the one test of these sums: theta takes them as tested
     x = hexgeom.interior_sums(t)
     if x is None:

@@ -120,16 +120,19 @@ class HexComplex:
     labels: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.n):
+            raise InvalidComplexError(f"'hexagons' must be an integer, got {self.n!r}")
+        self.n = int(self.n)
         if self.n <= 0 or self.n % 2 != 0:
             raise InvalidComplexError(f"hexagon count must be positive even, got {self.n}")
-        m = 3 * self.n // 2
-        if len(self.gluings) != m:
-            raise InvalidComplexError(f"expected {m} gluing pairs, got {len(self.gluings)}")
+        if len(self.gluings) != self.num_edges:
+            raise InvalidComplexError(f"expected {self.num_edges} gluing pairs, got {len(self.gluings)}")
+        self.gluings = [_checked_gluing(g) for g in self.gluings]
         # (hexagon, q)[e, side] is the y-slot glued at side `side` of edge
         # e; with 3n/2 pairs and no slot repeated, every y-slot is glued.
         # Flat rows, the reversed flag last, convert in a third of the
         # time nested pairs take.
-        rows = np.array([(*a, *b, r) for a, b, r in self.gluings], dtype=np.intp).reshape(m, 5)
+        rows = np.array([(*a, *b, r) for a, b, r in self.gluings], dtype=np.intp)
         hexagon, q = rows[:, 0:4:2], rows[:, 1:4:2]
         bad = (hexagon < 0) | (hexagon >= self.n) | (q < 0) | (q >= 6) | (q % 2 == 0)
         if bad.any():
@@ -142,6 +145,8 @@ class HexComplex:
         if repeated.any():
             e, side = divmod(int(np.argmax(repeated)), 2)
             raise InvalidComplexError(f"y-slot {self.gluings[e][side]} glued twice")
+        if not all(isinstance(label, str) for label in self.labels):
+            raise InvalidComplexError(f"'labels' must be strings, got {self.labels!r}")
         if not self.labels:
             self.labels = [f"e{i}" for i in range(self.num_edges)]
         elif len(self.labels) != self.num_edges:
@@ -377,46 +382,45 @@ class HexComplex:
 
 
 def _is_integer(value) -> bool:
-    """True for a JSON number with no fractional part; false for strings,
+    """True for a number with no fractional part; false for strings,
     booleans and fractional numbers."""
     if isinstance(value, float):
         return value.is_integer()
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _checked_gluing(g: tuple[Slot, Slot, bool]) -> tuple[Slot, Slot, bool]:
+    """Gluing entry g with its slot indices as plain ints; raises
+    InvalidComplexError unless they are integral and the flag a bool."""
+    (h, p), (k, q), rev = g
+    # plain ints skip the per-value test and conversion, which would
+    # about double the time a complex takes to build
+    plain = type(h) is type(p) is type(k) is type(q) is int
+    if not (plain or all(map(_is_integer, (h, p, k, q)))):
+        raise InvalidComplexError(f"slot indices in gluing entry {g!r} must be integers")
+    if not isinstance(rev, (bool, np.bool_)):
+        raise InvalidComplexError(f"'reversed' in gluing entry {g!r} must be true or false, got {rev!r}")
+    return g if plain else ((int(h), int(p)), (int(k), int(q)), rev)
+
+
 def build(doc: dict) -> HexComplex:
     """Build a complex from the triangulation-file dictionary:
     {"hexagons": n, "gluings": [{"a": [h,p], "b": [h,p], "reversed": bool}],
-     "labels": [...] optional}."""
+     "labels": [...] optional}.  Only the file's shape is read here; the
+    values are checked by HexComplex."""
     try:
         n = doc["hexagons"]
         raw = doc["gluings"]
     except (KeyError, TypeError) as exc:
         raise InvalidComplexError(f"malformed triangulation description: {exc}") from exc
-    if not _is_integer(n):
-        raise InvalidComplexError(f"'hexagons' must be an integer, got {n!r}")
     labels = doc.get("labels", [])
     for key, value in (("gluings", raw), ("labels", labels)):
         if not isinstance(value, (list, tuple)):
             raise InvalidComplexError(f"{key!r} must be a list, got {value!r}")
-    if not all(isinstance(label, str) for label in labels):
-        raise InvalidComplexError(f"'labels' must be strings, got {labels!r}")
     gluings = []
     for g in raw:
         try:
-            h, p, k, q = slots = (g["a"][0], g["a"][1], g["b"][0], g["b"][1])
-            rev = g.get("reversed", False)
+            gluings.append(((g["a"][0], g["a"][1]), (g["b"][0], g["b"][1]), g.get("reversed", False)))
         except (KeyError, TypeError, IndexError) as exc:
             raise InvalidComplexError(f"malformed gluing entry {g!r}") from exc
-        # plain ints skip the per-value test and conversion, which would
-        # triple the parsing time of a file
-        if not (type(h) is type(p) is type(k) is type(q) is int):
-            if not all(map(_is_integer, slots)):
-                raise InvalidComplexError(f"slot indices in gluing entry {g!r} must be integers")
-            h, p, k, q = map(int, slots)
-        if not isinstance(rev, bool):
-            raise InvalidComplexError(
-                f"'reversed' in gluing entry {g!r} must be true or false, got {rev!r}"
-            )
-        gluings.append(((h, p), (k, q), rev))
-    return HexComplex(n=int(n), gluings=gluings, labels=list(labels))
+    return HexComplex(n=n, gluings=gluings, labels=list(labels))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hexmetric import solver
 from hexmetric.surface import HexComplex, InvalidComplexError
 
 # Three fixture complexes:
@@ -81,3 +82,19 @@ def self_glued_complex() -> HexComplex:
         n=2,
         gluings=[((0, 1), (0, 3), False), ((0, 5), (1, 1), False), ((1, 3), (1, 5), True)],
     )
+
+
+def reverse_newton_steps(monkeypatch) -> None:
+    """Make every Newton step of a solve point downhill."""
+    newton_solver = solver._newton_solver
+
+    def downhill(cx):
+        step = newton_solver(cx)
+
+        def reversed_step(*args):
+            d, k = step(*args)
+            return -d, k
+
+        return reversed_step
+
+    monkeypatch.setattr(solver, "_newton_solver", downhill)

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexmetric import cli, solver
+from hexmetric import cli, polytope, solver
+
+from conftest import reverse_newton_steps, seeded_complex
 
 ACOSH2 = math.acosh(2.0)
 
@@ -544,6 +546,27 @@ def test_lp_failure_exits_no_convergence(pants_file, tmp_path, capsys, monkeypat
     z = write_coords(tmp_path, "z.json", {"e0": 1, "e1": 1, "e2": 1})
     assert run(["feasible", pants_file, "--z", z]) == cli.EXIT_NO_CONVERGENCE
     assert "linear program failed" in capsys.readouterr().err
+
+
+def test_policy_iteration_cap_exits_no_convergence(tmp_path, capsys, monkeypatch):
+    # one policy does not settle this seeded n = 32 complex's LP
+    cx = seeded_complex(32, 0)
+    doc = {"hexagons": cx.n, "gluings": [{"a": a, "b": b, "reversed": r} for a, b, r in cx.gluings]}
+    cx_file = write_coords(tmp_path, "cx.json", doc)
+    z, _, _ = solver.forward_map(cx, np.random.default_rng(0).uniform(0.3, 3.0, cx.num_edges))
+    z_file = write_coords(tmp_path, "z.json", dict(zip(cx.labels, z.tolist())))
+    monkeypatch.setattr(polytope, "MAX_POLICIES", 1)
+    assert run(["feasible", cx_file, "--z", z_file]) == cli.EXIT_NO_CONVERGENCE
+    assert "linear program failed: policy iteration did not settle in 1 policies" in capsys.readouterr().err
+
+
+def test_descent_direction_exits_no_convergence_without_a_report(tmp_path, capsys, monkeypatch):
+    reverse_newton_steps(monkeypatch)
+    z = write_coords(tmp_path, "z.json", dict(zip(
+        ["e0", "e1", "e2", "e3", "e4", "e5"], [0.3, 1.7, 0.9, 1.1, 0.6, 1.4])))
+    assert run(["solve", str(FOUR_FILE), "--z", z]) == cli.EXIT_NO_CONVERGENCE
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"error": "no convergence", "detail": "Newton direction is not an ascent direction"}
 
 
 def test_feasible_lists_certificate_cycle(pants_file, tmp_path, capsys):

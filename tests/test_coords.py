@@ -99,6 +99,19 @@ def test_input_validation(pants):
         coords.boundary_z_sums(pants, np.ones(2))
 
 
+def test_infinite_x_arcs_are_a_coordinate_error(pants):
+    # inf - inf once made every t NaN, with a RuntimeWarning
+    x = np.full(6, np.inf)
+    cyc = pants.boundary_edge_cycles()[0]
+    for call in (
+        lambda: coords.t_of(pants, x),
+        lambda: coords.e_invariant(pants, x),
+        lambda: coords.cycle_sum(pants, x, cyc),
+    ):
+        with pytest.raises(CoordinateError, match="positive and finite"):
+            call()
+
+
 def test_x_of_refuses_what_interior_sums_refuses(pants):
     # an infinite entry makes infinite x-arcs, outside the open cone; so
     # does a positive subnormal pair sum, where the kernel overflows

@@ -450,3 +450,13 @@ def test_derivatives_raise_as_the_separate_calls(f, row):
     with pytest.raises((hexgeom.DomainError, ArithmeticError)) as together:
         hexgeom.theta_derivatives(rows)
     assert type(together.value) is type(separate.value)
+
+
+def test_path_integral_needs_a_segment():
+    with pytest.raises(ValueError, match="segments must be positive"):
+        hexgeom.path_integral([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], segments=0)
+
+
+def test_theta_by_path_integral_at_the_origin():
+    # the form is singular at the origin, where theta is 0
+    assert hexgeom.theta_by_path_integral((0.0, 0.0, 0.0), segments=8) == 0.0

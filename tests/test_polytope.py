@@ -399,3 +399,14 @@ def test_feasibility_does_not_import_scipy_optimize():
     # no scipy module before the first energy evaluation; no
     # scipy.optimize at all
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_policy_iteration_cap_raises(monkeypatch):
+    # a seeded n = 32 complex takes about 4.5 policies on average; one is
+    # not enough here
+    cx = seeded_complex(32, 0)
+    z, _, _ = solver.forward_map(cx, np.random.default_rng(0).uniform(0.3, 3.0, cx.num_edges))
+    assert check_feasibility(cx, z).feasible
+    monkeypatch.setattr(polytope, "MAX_POLICIES", 1)
+    with pytest.raises(polytope.LPError, match="did not settle in 1 policies"):
+        check_feasibility(cx, z)

@@ -260,3 +260,12 @@ def test_verify_metric_edge_failure_reports_its_size(pants):
     (failure,) = verify_metric(pants, metric).failures
     assert failure.startswith("edge e0: side lengths off the edge length by")
     assert float(failure.split()[-1]) == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_verify_metric_reads_list_fields_as_arrays(pants):
+    # indexing a list edge_lengths with [:, None] once raised TypeError
+    fields = ([1.0] * 3, 0.0, [1.0] * 6, [2.0] * 3, np.ones(3))
+    as_lists = verify_metric(pants, solver.HyperbolicMetric(*fields))
+    as_arrays = verify_metric(pants, solver.HyperbolicMetric(*(np.asarray(f) for f in fields)))
+    assert as_lists == as_arrays
+    assert not as_lists.ok and len(as_lists.failures) == 3

@@ -19,7 +19,7 @@ from hexmetric.solver import (
     maximize,
     perturbed_interior_start,
 )
-from conftest import random_lengths, seeded_complex, self_glued_complex
+from conftest import random_lengths, reverse_newton_steps, seeded_complex, self_glued_complex
 
 RNG = np.random.default_rng(20240814)
 
@@ -112,6 +112,18 @@ def test_energy_refuses_a_point_outside_the_open_cone(pants, t):
     # infinite pair sums, outside the cone as a negative one is
     with pytest.raises(hexgeom.DomainError, match="outside the open domain"):
         solver.energy(pants, np.array(t))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [solver.energy, solver.domain_margin, coords.x_of, extract_metric],
+    ids=["energy", "domain_margin", "x_of", "extract_metric"],
+)
+def test_t_of_the_wrong_length_is_a_coordinate_error(pants, call):
+    # numpy's reshape error once reached the caller from energy and
+    # domain_margin
+    with pytest.raises(coords.CoordinateError, match="expected 6 arc values"):
+        call(pants, np.ones(5))
 
 
 def test_symmetric_pants_closed_form(pants):
@@ -281,6 +293,25 @@ def test_singular_newton_system_is_a_solve_error(four, monkeypatch):
     monkeypatch.setattr(solver, "_neg_hessian_data", lambda cx, hess: np.zeros(nnz))
     with pytest.raises(SolveError, match="singular"):
         maximize(four, np.array([0.3, 1.7, 0.9, 1.1, 0.6, 1.4]))
+
+
+def test_descent_direction_is_a_solve_error(four, monkeypatch):
+    # refused before the line search, which would otherwise stall on it
+    reverse_newton_steps(monkeypatch)
+    with pytest.raises(SolveError, match="Newton direction is not an ascent direction") as exc:
+        maximize(four, np.array([0.3, 1.7, 0.9, 1.1, 0.6, 1.4]))
+    assert exc.value.report is None
+
+
+def test_pcg_stops_at_its_iteration_cap():
+    # no relative residual of the 10x10 Hilbert system reaches 1e-16,
+    # below rounding: CG returns after 10 len(b) iterations
+    from scipy.linalg import hilbert
+
+    a, b = hilbert(10), np.ones(10)
+    x, k = solver._pcg(a, b, 1.0 / np.diag(a), rtol=1e-16)
+    assert k == 100
+    assert np.linalg.norm(a @ x - b) < 1e-6
 
 
 def test_bad_start_rejected(pants):

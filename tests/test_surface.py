@@ -276,3 +276,47 @@ def test_build_from_dict(pants):
         build({"hexagons": 2})
     with pytest.raises(InvalidComplexError):
         build({"hexagons": 2, "gluings": [{"a": [0, 1]}]})
+
+
+PANTS_GLUINGS = [((0, 1), (1, 1), False), ((0, 3), (1, 3), False), ((0, 5), (1, 5), False)]
+
+
+def _pants_with_first(a=(0, 1), rev=False) -> list:
+    return [(a, (1, 1), rev), *PANTS_GLUINGS[1:]]
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # an intp cast once read slot 1.5 as slot 1, and True as 1
+        (dict(n=2, gluings=_pants_with_first(a=(0, 1.5))), "slot indices in gluing entry ((0, 1.5), (1, 1), False)"),
+        (dict(n=2, gluings=_pants_with_first(a=(0, True))), "slot indices in gluing entry ((0, True), (1, 1), False)"),
+        (dict(n=2, gluings=_pants_with_first(rev="no")), "'reversed' in gluing entry ((0, 1), (1, 1), 'no')"),
+        (dict(n=2, gluings=_pants_with_first(rev=0)), "'reversed' in gluing entry ((0, 1), (1, 1), 0)"),
+        (dict(n="2", gluings=PANTS_GLUINGS), "'hexagons' must be an integer, got '2'"),
+        (dict(n=2, gluings=PANTS_GLUINGS, labels=[1, 2, 3]), "'labels' must be strings, got [1, 2, 3]"),
+    ],
+    ids=["slot-fraction", "slot-bool", "reversed-str", "reversed-int", "n-str", "labels-int"],
+)
+def test_constructor_refuses_what_build_refuses(kwargs, message):
+    with pytest.raises(InvalidComplexError) as exc:
+        HexComplex(**kwargs)
+    assert message in str(exc.value)
+
+
+def test_constructor_takes_integral_floats_as_ints(pants):
+    cx = HexComplex(n=2.0, gluings=_pants_with_first(a=(0.0, 1.0)), labels=["a", "b", "c"])
+    assert type(cx.n) is int and cx.n == 2
+    assert cx.gluings == pants.gluings
+    assert all(type(v) is int for a, b, _ in cx.gluings for v in (*a, *b))
+    np.testing.assert_array_equal(cx.hex_edges, pants.hex_edges)
+    # a numpy flag is a flag
+    assert HexComplex(n=2, gluings=_pants_with_first(rev=np.False_)).n == 2
+
+
+def test_build_reads_integral_float_slots_as_ints(pants):
+    doc = {"hexagons": 2, "gluings": [{"a": [0.0, 1.0], "b": [1, 1]}, {"a": [0, 3], "b": [1, 3]}, {"a": [0, 5], "b": [1, 5]}]}
+    cx = build(doc)
+    assert cx.gluings == pants.gluings
+    assert all(type(v) is int for a, b, _ in cx.gluings for v in (*a, *b))
+    np.testing.assert_array_equal(cx.hex_edges, pants.hex_edges)
